@@ -1905,12 +1905,60 @@ let exp_obs ?(mode = `Run) () =
 
 (* ---------- dp: flat-state DP kernels vs frozen boxed baselines ---------- *)
 
+(* CPU model and logical CPU count, recorded next to the timings. *)
+let host () =
+  let lines =
+    try
+      In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
+      |> String.split_on_char '\n'
+    with Sys_error _ -> []
+  in
+  let model =
+    List.find_map
+      (fun l ->
+        if String.starts_with ~prefix:"model name" l then
+          Option.map
+            (fun i -> String.trim (String.sub l (i + 1) (String.length l - i - 1)))
+            (String.index_opt l ':')
+        else None)
+      lines
+  in
+  ( Option.value model ~default:"unknown",
+    Domain.recommended_domain_count () )
+
+(* Allocation of one Opt_two solve in common-denominator mode, after
+   warm-up (so the tableau comes from the pool): the fewest major words
+   over [reps] solves, and minor words per expanded cell. Major words
+   include words promoted out of the minor heap, so a stray minor
+   collection inside a solve can only raise the figure. *)
+let dp_alloc ~n ~reps =
+  let inst =
+    Crs_generators.Random_gen.equal_rows ~m:2 ~n ~granularity:20
+      (Random.State.make [| 0x200; n |])
+  in
+  let cells =
+    (Crs_algorithms.Opt_two.solve inst).counters.Crs_algorithms.Opt_two.cells_expanded
+  in
+  let major () =
+    let _, _, ma = Gc.counters () in
+    ma
+  in
+  let major_best = ref infinity and minor_total = ref 0.0 in
+  for _ = 1 to reps do
+    let ma0 = major () and mi0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Crs_algorithms.Opt_two.solve inst));
+    minor_total := !minor_total +. (Gc.minor_words () -. mi0);
+    major_best := Float.min !major_best (major () -. ma0)
+  done;
+  (cells, !major_best, !minor_total /. float_of_int reps /. float_of_int cells)
+
 let exp_dp ?(mode = `Run) () =
   banner "dp" "flat-state DP kernels (Opt_two / Opt_config)"
     "gate: >= 2x end-to-end on the Figure-3 family for BOTH kernels vs the \
      frozen pre-rewrite boxed kernels vendored into this binary \
      (bench/legacy); results byte-compared first, so the speedup is over \
-     identical answers";
+     identical answers; plus an Opt_two allocation gate (major words per \
+     solve, minor words per expanded cell)";
   let module L2 = Crs_legacy.Legacy_opt_two in
   let module LC = Crs_legacy.Legacy_opt_config in
   let two_n, cfg_n, cfg_iters, reps =
@@ -2020,11 +2068,25 @@ let exp_dp ?(mode = `Run) () =
         done;
         LC.solve fig3_cfg)
   in
+  (* Allocation gate. A solve whose tableau came from the pool must not
+     allocate major words in proportion to its n^2 table (a per-solve
+     Array.make of the tableau costs 161,605 at n = 200), and the sweep
+     must not box per cell. *)
+  let alloc_n = 200 in
+  let alloc_cells, major_words, minor_per_cell = dp_alloc ~n:alloc_n ~reps:9 in
+  let major_bound = float_of_int (20 * alloc_n) and minor_bound = 1.0 in
+  let alloc_met = major_words <= major_bound && minor_per_cell <= minor_bound in
+  Printf.printf
+    "allocation, opt_two common-denominator n=%d (%d cells): %.0f major \
+     words/solve (bound %.0f), %.3f minor words/cell (bound %.1f): %s\n"
+    alloc_n alloc_cells major_words major_bound minor_per_cell minor_bound
+    (if alloc_met then "met" else "NOT MET");
   match mode with
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
   | `Run ->
     let gate = 2.0 in
     let gate_met = two_speedup >= gate && cfg_speedup >= gate in
+    let cpu_model, nproc = host () in
     let json =
       Printf.sprintf
         "{\"opt_two_n\":%d,\"opt_two_flat_s\":%.6f,\"opt_two_legacy_s\":%.6f,\
@@ -2032,11 +2094,16 @@ let exp_dp ?(mode = `Run) () =
          \"opt_config_flat_s\":%.6f,\"opt_config_legacy_s\":%.6f,\
          \"opt_config_speedup\":%.4f,\"reps\":%d,\"cells_expanded\":%d,\
          \"relaxations\":%d,\"generated\":%d,\"parity\":true,\"gate\":%.1f,\
-         \"gate_met\":%b}\n"
+         \"gate_met\":%b,\"alloc_n\":%d,\"alloc_cells\":%d,\
+         \"alloc_major_words_per_solve\":%.0f,\"alloc_major_bound\":%.0f,\
+         \"alloc_minor_words_per_cell\":%.4f,\"alloc_minor_bound\":%.1f,\
+         \"alloc_gate_met\":%b,\"nproc\":%d,\"cpu_model\":%S}\n"
         two_n two_flat two_legacy two_speedup cfg_n cfg_iters cfg_flat cfg_legacy
         cfg_speedup reps s_new.counters.Crs_algorithms.Opt_two.cells_expanded
         s_new.counters.Crs_algorithms.Opt_two.relaxations
-        c_new.stats.Crs_algorithms.Opt_config.generated gate gate_met
+        c_new.stats.Crs_algorithms.Opt_config.generated gate gate_met alloc_n
+        alloc_cells major_words major_bound minor_per_cell minor_bound alloc_met
+        nproc cpu_model
     in
     Out_channel.with_open_text "BENCH_dp.json" (fun oc ->
         Out_channel.output_string oc json);
@@ -2046,7 +2113,8 @@ let exp_dp ?(mode = `Run) () =
       two_speedup cfg_speedup gate
       (if gate_met then "met" else "NOT MET");
     Printf.printf "wrote BENCH_dp.json\n";
-    assert gate_met
+    assert gate_met;
+    assert alloc_met
 
 (* ---------- smoke: tiny-n pass over every gated experiment ---------- *)
 

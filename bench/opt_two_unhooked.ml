@@ -9,7 +9,9 @@
    observability hooks (spans, histogram) removed; the work counters
    and the fuel tick stay because they are kernel features that predate
    the obs layer, not profiling hooks. If the DP itself changes later,
-   re-snapshot it; the gate compares like against like. *)
+   re-snapshot it; the gate compares like against like. The tableau
+   pool and its epoch stamps are kernel features too, so the copy
+   carries its own pool with the same retention constants. *)
 
 module Q = Crs_num.Rational
 module SR = Crs_num.Smallrat
@@ -76,7 +78,60 @@ let common_den r1 r2 =
     if !ok then Some (l, rn1, rn2) else None
   end
 
-type tableau = { w : int; cells : int array; spill : (int, Q.t) Hashtbl.t }
+let max_pooled_cells = 1 lsl 17
+let slots = Array.make (Domain.recommended_domain_count ()) [||]
+let slots_lock = Mutex.create ()
+let next_epoch = Atomic.make 1
+
+let acquire size =
+  let found =
+    Mutex.protect slots_lock (fun () ->
+        let best = ref (-1) in
+        for i = 0 to Array.length slots - 1 do
+          let len = Array.length slots.(i) in
+          if len >= size * 4 && (!best < 0 || len < Array.length slots.(!best))
+          then best := i
+        done;
+        if !best < 0 then [||]
+        else begin
+          let b = slots.(!best) in
+          slots.(!best) <- [||];
+          b
+        end)
+  in
+  if Array.length found > 0 then found
+  else if size > max_pooled_cells then Array.make (size * 4) (-1)
+  else begin
+    let cap = ref 1 in
+    while !cap < size do
+      cap := !cap * 2
+    done;
+    Array.make (Stdlib.min !cap max_pooled_cells * 4) (-1)
+  end
+
+let release b =
+  let len = Array.length b in
+  if len <= max_pooled_cells * 4 then
+    Mutex.protect slots_lock (fun () ->
+        let target = ref (-1) in
+        for i = 0 to Array.length slots - 1 do
+          let sl = Array.length slots.(i) in
+          if sl < len && (!target < 0 || sl < Array.length slots.(!target)) then
+            target := i
+        done;
+        if !target >= 0 then slots.(!target) <- b)
+
+type tableau = {
+  w : int;
+  cells : int array;
+  epoch : int;
+  spill : (int, Q.t) Hashtbl.t;
+}
+
+let cell_tv tab idx =
+  let base = idx lsl 2 in
+  let tv = tab.cells.(base) in
+  if tv >= 0 && tab.cells.(base + 3) = tab.epoch then tv else -1
 
 let cell_r tab idx =
   let base = idx lsl 2 in
@@ -84,19 +139,21 @@ let cell_r tab idx =
   if q <> 0 then SR.to_rational tab.cells.(base + 1) q
   else Hashtbl.find tab.spill idx
 
-let run_dp instance =
+let with_dp instance k =
   check instance;
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
   let w = n2 + 1 in
-  let size = (n1 + 1) * w in
-  let cells_a = Array.make (size * 4) (-1) in
-  let tab = { w; cells = cells_a; spill = Hashtbl.create 16 } in
+  let cells_a = acquire ((n1 + 1) * w) in
+  Fun.protect ~finally:(fun () -> release cells_a) @@ fun () ->
+  let epoch = Atomic.fetch_and_add next_epoch 1 in
+  let tab = { w; cells = cells_a; epoch; spill = Hashtbl.create 16 } in
   let r1 = prefetch instance 0 and r2 = prefetch instance 1 in
   let cells = ref 0 and relaxes = ref 0 in
   let relax idx t p q rbig via =
     incr relaxes;
     let base = idx lsl 2 in
     let cur_tv = cells_a.(base) in
+    let cur_tv = if cur_tv >= 0 && cells_a.(base + 3) <> epoch then -1 else cur_tv in
     let cur_t = cur_tv asr 3 in
     let better =
       cur_tv < 0 || t < cur_t
@@ -111,8 +168,10 @@ let run_dp instance =
     in
     if better then begin
       cells_a.(base) <- (t lsl 3) lor via;
+      cells_a.(base + 3) <- epoch;
       if q <> 0 then begin
-        if cells_a.(base + 2) = 0 then Hashtbl.remove tab.spill idx;
+        if cur_tv >= 0 && cells_a.(base + 2) = 0 then
+          Hashtbl.remove tab.spill idx;
         cells_a.(base + 1) <- p;
         cells_a.(base + 2) <- q
       end
@@ -144,7 +203,7 @@ let run_dp instance =
       let idx = (i1 * w) + i2 in
       let base = idx lsl 2 in
       let tv = cells_a.(base) in
-      if tv >= 0 then begin
+      if tv >= 0 && cells_a.(base + 3) = epoch then begin
         Crs_util.Fuel.tick ();
         incr cells;
         let t' = (tv asr 3) + 1 in
@@ -217,12 +276,12 @@ let run_dp instance =
   done;
   ignore !cells;
   ignore !relaxes;
-  tab
+  k tab
 
 let makespan instance =
-  let tab = run_dp instance in
+  with_dp instance @@ fun tab ->
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
-  let tv = tab.cells.(((n1 * tab.w) + n2) lsl 2) in
+  let tv = cell_tv tab ((n1 * tab.w) + n2) in
   if tv < 0 then
     failwith "Opt_two_unhooked.makespan: final state unreachable (bug)";
   tv asr 3

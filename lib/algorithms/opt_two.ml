@@ -9,16 +9,32 @@
    row-major cell:
 
      word 0 -- t and the 3-bit transition code packed as
-               (t lsl 3) lor via; -1 marks unreachable
+               (t lsl 3) lor via; -1 in a never-written cell
      word 1 -- remainder numerator   (canonical small-tier parts,
      word 2 -- remainder denominator  [Rational]'s S invariant)
-     word 3 -- padding, so a cell never straddles a cache line
+     word 3 -- epoch stamp: the cell is reached in this solve iff
+               word 0 >= 0 and the stamp equals the solve's epoch;
+               words 0-2 of any other cell are stale and never used
 
    Word 2 = 0 flags a rare bigint-tier remainder spilled to a side
    table keyed by cell index. Interleaving matters as much as
    unboxing: the diagonal sweep strides through the table, so parallel
    arrays would cost one cache line per field where this layout pays
    one line per cell (and shares it with a neighbour).
+
+   The tableau is not allocated per solve. Buffers come from a
+   process-wide pool and go back to it when the solve ends, normally
+   or by an exception (an [Out_of_fuel] deadline, say). Every solve
+   draws a fresh epoch from a global counter, so a reused buffer is
+   never cleared: whatever an earlier or aborted solve left behind
+   carries an older stamp and reads as unreached. The pool is shared
+   by all domains rather than held per domain because [Exec] spawns
+   fresh domains per call and per-domain buffers would die with them.
+   Retention is bounded by two constants below: at most
+   [Domain.recommended_domain_count ()] buffers, none above
+   [max_pooled_cells] cells (4 MiB). A larger solve allocates its own
+   tableau and drops it, so a long-running daemon never pins the
+   largest tableau it has seen.
 
    Relaxations on the small-tier fast path run entirely on ints via
    [Smallrat] — no allocation, no [Instance.job] bounds checks (the
@@ -120,11 +136,84 @@ let common_den r1 r2 =
     if !ok then Some (l, rn1, rn2) else None
   end
 
+(* ---------- tableau pool ---------- *)
+
+(* 2^17 cells = 2^19 words: a 361 x 361 table, past the request sizes
+   the serve tier sees. Pooled buffers are rounded up to a power of two
+   (capped here) so a mix of nearby sizes settles on one buffer size. *)
+let max_pooled_cells = 1 lsl 17
+
+(* Free buffers; [||] marks an empty slot. *)
+let slots = Array.make (Domain.recommended_domain_count ()) [||]
+let slots_lock = Mutex.create ()
+
+(* Fresh buffers are filled with -1, so word 0 rejects a never-written
+   cell with one load (the only kind above the cap) and its stamp can
+   match no epoch: every solve's epoch is positive and unique within
+   the process. *)
+let next_epoch = Atomic.make 1
+
+(* Take the smallest free buffer that holds [size] cells, or allocate
+   one when none does. *)
+let acquire size =
+  let found =
+    Mutex.protect slots_lock (fun () ->
+        let best = ref (-1) in
+        for i = 0 to Array.length slots - 1 do
+          let len = Array.length slots.(i) in
+          if len >= size * 4 && (!best < 0 || len < Array.length slots.(!best))
+          then best := i
+        done;
+        if !best < 0 then [||]
+        else begin
+          let b = slots.(!best) in
+          slots.(!best) <- [||];
+          b
+        end)
+  in
+  if Array.length found > 0 then found
+  else if size > max_pooled_cells then Array.make (size * 4) (-1)
+  else begin
+    let cap = ref 1 in
+    while !cap < size do
+      cap := !cap * 2
+    done;
+    Array.make (Stdlib.min !cap max_pooled_cells * 4) (-1)
+  end
+
+(* Return a buffer: into an empty slot, else in place of the smallest
+   smaller one; otherwise (or when it is over the cap) the GC takes it. *)
+let release b =
+  let len = Array.length b in
+  if len <= max_pooled_cells * 4 then
+    Mutex.protect slots_lock (fun () ->
+        let target = ref (-1) in
+        for i = 0 to Array.length slots - 1 do
+          let sl = Array.length slots.(i) in
+          if sl < len && (!target < 0 || sl < Array.length slots.(!target)) then
+            target := i
+        done;
+        if !target >= 0 then slots.(!target) <- b)
+
+let retained () =
+  Mutex.protect slots_lock (fun () ->
+      Array.to_list slots
+      |> List.filter_map (fun b ->
+             if Array.length b > 0 then Some (Array.length b / 4) else None)
+      |> List.sort compare)
+
 type tableau = {
   w : int; (* row stride in cells = n2 + 1 *)
   cells : int array; (* 4 words per cell, see layout above *)
+  epoch : int; (* word-3 stamp of the cells this solve reached *)
   spill : (int, Q.t) Hashtbl.t;
 }
+
+(* Word 0 of a cell this solve reached, -1 for any other cell. *)
+let cell_tv tab idx =
+  let base = idx lsl 2 in
+  let tv = tab.cells.(base) in
+  if tv >= 0 && tab.cells.(base + 3) = tab.epoch then tv else -1
 
 let cell_r tab idx =
   let base = idx lsl 2 in
@@ -132,13 +221,16 @@ let cell_r tab idx =
   if q <> 0 then SR.to_rational tab.cells.(base + 1) q
   else Hashtbl.find tab.spill idx
 
-let run_dp instance =
+(* Run the DP into a pooled buffer and hand the filled tableau to [k];
+   the buffer goes back to the pool however [k] or the DP exits. *)
+let with_dp instance k =
   check instance;
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
   let w = n2 + 1 in
-  let size = (n1 + 1) * w in
-  let cells_a = Array.make (size * 4) (-1) in
-  let tab = { w; cells = cells_a; spill = Hashtbl.create 16 } in
+  let cells_a = acquire ((n1 + 1) * w) in
+  Fun.protect ~finally:(fun () -> release cells_a) @@ fun () ->
+  let epoch = Atomic.fetch_and_add next_epoch 1 in
+  let tab = { w; cells = cells_a; epoch; spill = Hashtbl.create 16 } in
   let r1 = prefetch instance 0 and r2 = prefetch instance 1 in
   let cells = ref 0 and relaxes = ref 0 in
   (* Keep the candidate (t, r) iff the cell is empty or it improves the
@@ -148,6 +240,7 @@ let run_dp instance =
     incr relaxes;
     let base = idx lsl 2 in
     let cur_tv = cells_a.(base) in
+    let cur_tv = if cur_tv >= 0 && cells_a.(base + 3) <> epoch then -1 else cur_tv in
     let cur_t = cur_tv asr 3 in
     let better =
       cur_tv < 0 || t < cur_t
@@ -162,8 +255,10 @@ let run_dp instance =
     in
     if better then begin
       cells_a.(base) <- (t lsl 3) lor via;
+      cells_a.(base + 3) <- epoch;
       if q <> 0 then begin
-        if cells_a.(base + 2) = 0 then Hashtbl.remove tab.spill idx;
+        if cur_tv >= 0 && cells_a.(base + 2) = 0 then
+          Hashtbl.remove tab.spill idx;
         cells_a.(base + 1) <- p;
         cells_a.(base + 2) <- q
       end
@@ -214,11 +309,11 @@ let run_dp instance =
         let i2 = level - i1 in
         let idx = (i1 * w) + i2 in
         let base = idx lsl 2 in
-        let tv = cells_a.(base) in
         (* Fuel is charged per reachable cell: unreachable cells do no
            work, so they no longer burn budget (tick counts changed at
            the hoist; deterministic-timeout tests pin the new ones). *)
-        if tv >= 0 then begin
+        let tv = cells_a.(base) in
+        if tv >= 0 && cells_a.(base + 3) = epoch then begin
           Crs_util.Fuel.tick ();
           incr cells;
           let t' = (tv asr 3) + 1 in
@@ -312,12 +407,12 @@ let run_dp instance =
             ("cells_expanded", Crs_obs.Trace.Int !cells);
             ("relaxations", Crs_obs.Trace.Int !relaxes);
           ]);
-  (tab, r1, r2, { cells_expanded = !cells; relaxations = !relaxes })
+  k tab r1 r2 { cells_expanded = !cells; relaxations = !relaxes }
 
 let makespan instance =
-  let tab, _, _, _ = run_dp instance in
+  with_dp instance @@ fun tab _ _ _ ->
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
-  let tv = tab.cells.(((n1 * tab.w) + n2) lsl 2) in
+  let tv = cell_tv tab ((n1 * tab.w) + n2) in
   if tv < 0 then failwith "Opt_two.makespan: final state unreachable (bug)";
   tv asr 3
 
@@ -327,14 +422,14 @@ let makespan instance =
    share arithmetic runs on boxed values, so rows are byte-identical to
    the boxed kernel's. *)
 let solve instance =
-  let tab, r1, r2, counters = run_dp instance in
+  with_dp instance @@ fun tab r1 r2 counters ->
   let n1 = Instance.n_i instance 0 and n2 = Instance.n_i instance 1 in
   let w = tab.w in
-  let final_tv = tab.cells.(((n1 * w) + n2) lsl 2) in
+  let final_tv = cell_tv tab ((n1 * w) + n2) in
   if final_tv < 0 then failwith "Opt_two.solve: final state unreachable (bug)";
   let rec path i1 i2 acc =
     let idx = (i1 * w) + i2 in
-    let tv = tab.cells.(idx lsl 2) in
+    let tv = cell_tv tab idx in
     if tv < 0 then failwith "Opt_two.solve: broken parent chain";
     let via = tv land 7 in
     if via = start then acc

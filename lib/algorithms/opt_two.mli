@@ -35,3 +35,16 @@ val makespan : Crs_core.Instance.t -> int
 
 val table_dims : Crs_core.Instance.t -> int * int
 (** DP table dimensions [(n1+1, n2+1)]; exposed for complexity tests. *)
+
+(** {1 Tableau pool}
+
+    Solves take their tableau from a process-wide pool of reusable
+    buffers instead of allocating one each time. *)
+
+val max_pooled_cells : int
+(** The largest buffer, in DP cells, the pool keeps. A solve whose
+    table is larger allocates its own and drops it afterwards. *)
+
+val retained : unit -> int list
+(** Capacities, in cells, of the buffers the pool holds right now
+    (ascending). There are at most [Domain.recommended_domain_count ()]. *)

@@ -107,28 +107,35 @@ let job_of_string s =
     Job.make ~requirement:(Q.of_string r) ~size:(Q.of_string p)
 
 let of_string text =
-  let lines = String.split_on_char '\n' text in
-  let parse_line line =
-    let tokens =
-      String.split_on_char ' ' line
-      |> List.concat_map (String.split_on_char '\t')
-      |> List.filter (fun s -> s <> "")
+  (* A token that fails to parse is reported with its text line and
+     processor, so a bad request names what to fix. *)
+  let parse_line proc (lineno, line) =
+    let job tok =
+      let fail msg =
+        Printf.ksprintf failwith
+          "Instance.of_string: bad job %S on line %d (processor %d): %s" tok
+          lineno proc msg
+      in
+      try job_of_string tok with
+      | Invalid_argument msg | Failure msg -> fail msg
+      | Division_by_zero -> fail "zero denominator"
     in
-    Array.of_list (List.map job_of_string tokens)
+    String.split_on_char ' ' line
+    |> List.concat_map (String.split_on_char '\t')
+    |> List.filter (fun s -> s <> "")
+    |> List.map job |> Array.of_list
   in
   let meaningful =
-    List.filter
-      (fun l ->
-        let l = String.trim l in
-        l <> "" && l.[0] <> '#')
-      lines
+    List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text)
+    |> List.filter (fun (_, l) ->
+           let l = String.trim l in
+           l <> "" && l.[0] <> '#')
   in
   match meaningful with
   | [] -> Error "Instance.of_string: no processor lines"
   | lines -> (
-    try Ok (create (Array.of_list (List.map parse_line lines))) with
-    | Invalid_argument msg | Failure msg -> Error msg
-    | Division_by_zero -> Error "Instance.of_string: zero denominator")
+    try Ok (create (Array.of_list (List.mapi parse_line lines)))
+    with Failure msg -> Error msg)
 
 let load path =
   try

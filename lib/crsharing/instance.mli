@@ -89,6 +89,9 @@ val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val of_string : string -> (t, string) result
+(** One processor per line, jobs as rationals [r] or [r*p] separated by
+    blanks; blank lines and [#] comments are skipped. A bad token is
+    reported with its text, its line and its processor. *)
 
 val load : string -> (t, string) result
 (** Read an instance from a file path. *)

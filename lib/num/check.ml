@@ -106,18 +106,98 @@ let gen_pair st =
   while Bigint.is_zero !den do den := gen_bigint st done;
   (num, !den)
 
+(* ---------- of_string: the int fast path against the bigint path ---------- *)
+
+(* Spellings at the fast path's edges: signs, leading zeros, 18 and 19
+   digit parts, the small-tier bound, zero and negative denominators,
+   and the inputs the fast path must hand to the bigint path untouched
+   (padding, bare signs, decimals, malformed text). *)
+let parse_edges =
+  let b = Q.small_bound in
+  let n18 = "123456789012345678" and n19 = "1234567890123456789" in
+  [ "0"; "+5"; "-5"; "007"; "-007"; "+007"; "-0"; "+0"; "00"; "-0/5";
+    n18; "-" ^ n18; "+" ^ n18; n19; "-" ^ n19; "999999999999999999";
+    "-999999999999999999"; "0" ^ n18; n18 ^ "/" ^ n18; n19 ^ "/" ^ n18;
+    n18 ^ "/" ^ n19; "2/" ^ n18; string_of_int b; string_of_int (-b);
+    string_of_int (b + 1); string_of_int (-(b + 1)); Printf.sprintf "1/%d" b;
+    Printf.sprintf "1/%d" (b + 1); Printf.sprintf "%d/%d" (b + 1) (b + 2);
+    Printf.sprintf "%d/%d" (2 * (b + 1)) 2; Printf.sprintf "-%d/-%d" b (b + 1);
+    string_of_int max_int; string_of_int min_int; "0/7"; "1/-2"; "-1/-2";
+    "+1/+2"; "+-1"; "-+1"; "--1"; "3/0"; "0/0"; "-3/-0"; " 1/2"; "1/2 ";
+    " 1 / 2 "; "\t3/4"; "+"; "-"; ""; " "; "/"; "/2"; "2/"; "1/2/3"; "0.35";
+    "-0.35"; "+1.5"; "1."; ".5"; "."; "1e3"; "x"; "1/x"; "0x10" ]
+
+(* Random spellings around the same edges: mostly well-formed parts of
+   1-22 digits, with occasional padding, doubled signs, decimals and
+   stray characters. *)
+let gen_spelling st =
+  let part () =
+    let sign =
+      match Random.State.int st 10 with
+      | 0 -> "+" | 1 | 2 -> "-" | 3 when Random.State.int st 4 = 0 -> "+-"
+      | _ -> ""
+    in
+    let len =
+      if Random.State.bool st then 1 + Random.State.int st 4
+      else 15 + Random.State.int st 8
+    in
+    let zeros = if Random.State.int st 6 = 0 then "00" else "" in
+    let body =
+      String.init len (fun _ -> Char.chr (48 + Random.State.int st 10))
+    in
+    let body =
+      match Random.State.int st 30 with
+      | 0 -> " " ^ body
+      | 1 -> body ^ " "
+      | 2 -> String.sub body 0 (len / 2) ^ "." ^ String.sub body (len / 2) (len - len / 2)
+      | 3 -> body ^ "x"
+      | 4 -> ""
+      | _ -> body
+    in
+    sign ^ zeros ^ body
+  in
+  if Random.State.int st 3 = 0 then part () else part () ^ "/" ^ part ()
+
+let parse_outcome f s =
+  match f s with
+  | v -> Ok v
+  | exception e -> Error (Printexc.to_string e)
+
+(* Both parsers on one spelling: equal value, equal tier, or the same
+   exception. Returns the mismatch, if any. *)
+let spelling_mismatch s =
+  let f = Printf.sprintf in
+  match (parse_outcome Q.of_string s, parse_outcome Q.of_string_big s) with
+  | Ok a, Ok b ->
+    if not (Q.equal a b) then
+      Some (f "of_string %S = %s, bigint path %s" s (Q.to_string a) (Q.to_string b))
+    else if Q.is_small a <> Q.is_small b then
+      Some (f "of_string %S: tier differs from the bigint path" s)
+    else if not (Q.is_canonical a) then
+      Some (f "of_string %S: non-canonical %s" s (Q.to_string a))
+    else None
+  | Error a, Error b ->
+    if String.equal a b then None
+    else Some (f "of_string %S raises %s, bigint path %s" s a b)
+  | Ok a, Error b ->
+    Some (f "of_string %S = %s, bigint path raises %s" s (Q.to_string a) b)
+  | Error a, Ok b ->
+    Some (f "of_string %S raises %s, bigint path %s" s a (Q.to_string b))
+
 (* ---------- the differential run ---------- *)
 
-type outcome = { ops : int; mismatches : string list }
+type outcome = { ops : int; parses : int; mismatches : string list }
 
 let ok outcome = outcome.mismatches = []
 
 let describe outcome =
   match outcome.mismatches with
-  | [] -> Printf.sprintf "ok (%d ops, 0 mismatches)" outcome.ops
+  | [] ->
+    Printf.sprintf "ok (%d ops, %d parses, 0 mismatches)" outcome.ops
+      outcome.parses
   | ms ->
-    Printf.sprintf "%d mismatches in %d ops; first: %s" (List.length ms)
-      outcome.ops (List.hd ms)
+    Printf.sprintf "%d mismatches in %d ops and %d parses; first: %s"
+      (List.length ms) outcome.ops outcome.parses (List.hd ms)
 
 let binary_ops = [| "add"; "sub"; "mul"; "div"; "min"; "max" |]
 let unary_ops = [| "neg"; "abs"; "inv" |]
@@ -222,7 +302,21 @@ let run ?(ops = 10_000) ~seed () =
           (Q.to_string x) (Q.to_string y)
     end
   done;
-  { ops; mismatches = List.rev !mismatches }
+  (* The parse differential: every edge spelling, then one generated
+     spelling per four arithmetic ops. *)
+  let generated = ops / 4 in
+  let check_spelling s =
+    Option.iter (fun m -> mismatches := m :: !mismatches) (spelling_mismatch s)
+  in
+  List.iter check_spelling parse_edges;
+  for _ = 1 to generated do
+    check_spelling (gen_spelling st)
+  done;
+  {
+    ops;
+    parses = List.length parse_edges + generated;
+    mismatches = List.rev !mismatches;
+  }
 
 let run_exn ?ops ~seed () =
   let outcome = run ?ops ~seed () in

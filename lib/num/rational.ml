@@ -317,7 +317,7 @@ let to_string = function
     if Bigint.equal den Bigint.one then Bigint.to_string num
     else Bigint.to_string num ^ "/" ^ Bigint.to_string den
 
-let of_string s =
+let of_string_big s =
   let s = String.trim s in
   if String.equal s "" || String.equal s "+" || String.equal s "-" then
     invalid_arg "Rational.of_string: empty or bare sign";
@@ -352,6 +352,40 @@ let of_string s =
             (Bigint.of_natural (Natural.pow (Natural.of_int 10) digits))
       in
       add int_val (mul sign_factor (abs frac_val)))
+
+(* Small-tier fast path: [s.[lo..hi)] read as an optional sign and 1-18
+   decimal digits (so |value| < 10^18 < max_int), or [min_int], which no
+   such part can spell, for anything else. The caller then takes the
+   bigint path, which owns every other spelling and every error. *)
+let rec digits s i hi acc =
+  if i = hi then acc
+  else
+    let c = s.[i] in
+    if c < '0' || c > '9' then min_int
+    else digits s (i + 1) hi ((acc * 10) + (Char.code c - 48))
+
+let int_part s lo hi =
+  let neg = lo < hi && Char.equal s.[lo] '-' in
+  let d0 = if lo < hi && (neg || Char.equal s.[lo] '+') then lo + 1 else lo in
+  if hi - d0 < 1 || hi - d0 > 18 then min_int
+  else
+    let v = digits s d0 hi 0 in
+    if neg && v <> min_int then -v else v
+
+(* ["p"] and ["p/q"] with both parts on the fast path skip the bigint
+   parse and gcd. The result is the canonical value, and hence the tier,
+   [of_string_big] builds, and a zero denominator raises the same
+   [Division_by_zero]. *)
+let of_string s =
+  let len = String.length s in
+  match String.index_opt s '/' with
+  | None ->
+    let p = int_part s 0 len in
+    if p <> min_int then of_int p else of_string_big s
+  | Some i ->
+    let p = int_part s 0 i in
+    let q = if p = min_int then min_int else int_part s (i + 1) len in
+    if q <> min_int then norm_ints p q else of_string_big s
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 

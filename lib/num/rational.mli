@@ -30,7 +30,15 @@ val of_ints : int -> int -> t
 (** [of_ints p q] is [p/q]. @raise Division_by_zero if [q = 0]. *)
 
 val of_string : string -> t
-(** Accepts ["p"], ["p/q"] and decimal notation ["1.25"]. *)
+(** Accepts ["p"], ["p/q"] and decimal notation ["1.25"]. Parts of at
+    most 18 digits are read as machine ints; anything else goes through
+    {!of_string_big}, with the same value, tier and exceptions.
+    @raise Division_by_zero on a zero denominator.
+    @raise Invalid_argument on a malformed string. *)
+
+val of_string_big : string -> t
+(** {!of_string} with every part read as a bigint: the reference the
+    fast path is checked against ({!Check.run}). *)
 
 (** {1 Deconstruction} *)
 

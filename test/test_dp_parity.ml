@@ -199,6 +199,124 @@ let test_fuel_price_is_reachable_cells () =
     | _ -> false
     | exception Crs_util.Fuel.Out_of_fuel -> true)
 
+(* ---- the pooled tableau ----
+
+   Opt_two takes its tableau from a process-wide pool and never clears
+   a reused buffer: each solve stamps the cells it reaches with a fresh
+   epoch. These tests pin that reuse, however it interleaves with
+   aborted and concurrent solves, never changes an answer. *)
+
+(* Two-processor instances in both encodings: [`Common] draws
+   requirements on a grid of 20 (common-denominator mode); [`Pairs]
+   draws over the primes 1301, 1303 and 1307, whose lcm passes
+   small_bound, so the kernel keeps canonical pairs and spills the odd
+   remainder whose denominator outgrows the small tier. *)
+let pool_instance st ~n mode =
+  let req k =
+    match mode with
+    | `Common -> Helpers.rand_req st 20
+    | `Pairs ->
+      let d = [| 1301; 1303; 1307 |].(k mod 3) in
+      Q.of_ints (1 + Random.State.int st (d - 1)) d
+  in
+  Instance.of_requirements
+    (Array.init 2 (fun p -> Array.init n (fun k -> req (k + p))))
+
+(* A large solve aborted mid-sweep by a tiny fuel budget leaves its
+   buffer half-written; the smaller and the larger solve that follow on
+   the same domain (both big enough that only a buffer of the aborted
+   solve's size class fits them) must still match the frozen, unpooled
+   kernel byte for byte. *)
+let test_pool_abort_then_reuse () =
+  List.iter
+    (fun (mode, label) ->
+      let st = Random.State.make [| 0xAB; Hashtbl.hash label |] in
+      let aborted = pool_instance st ~n:300 mode in
+      (match Crs_util.Fuel.with_fuel (Some 40) (fun () -> O2.solve aborted) with
+      | _ -> Alcotest.failf "%s: a 40-tick budget cannot finish n=300" label
+      | exception Crs_util.Fuel.Out_of_fuel -> ());
+      parity_two (label ^ " smaller after abort") (pool_instance st ~n:260 mode);
+      parity_two (label ^ " larger after abort") (pool_instance st ~n:330 mode);
+      parity_two (label ^ " the aborted instance") aborted)
+    [ (`Common, "common-denominator"); (`Pairs, "canonical pairs") ];
+  (* Past the cap a solve allocates its own tableau and drops it. *)
+  ignore (O2.makespan (pool_instance (Random.State.make [| 7 |]) ~n:400 `Common));
+  let kept = O2.retained () in
+  Alcotest.(check bool) "pool holds at most one buffer per domain" true
+    (List.length kept <= Domain.recommended_domain_count ());
+  List.iter
+    (fun cells ->
+      Alcotest.(check bool) "no pooled buffer above the cap" true
+        (cells <= O2.max_pooled_cells))
+    kept
+
+(* Mixed sizes and both encodings, solved concurrently on two domains
+   in opposite orders with aborted solves in between, must match the
+   sequential answers exactly. *)
+let test_pool_concurrent_domains () =
+  let st = Random.State.make [| 0xC0; 2 |] in
+  let instances =
+    Array.init 16 (fun k ->
+        pool_instance st
+          ~n:(5 + Random.State.int st 120)
+          (if k mod 3 = 0 then `Pairs else `Common))
+  in
+  let answer i =
+    let s = O2.solve i in
+    Printf.sprintf "%d|%d|%d|%s" s.O2.makespan s.O2.counters.O2.cells_expanded
+      s.O2.counters.O2.relaxations (Schedule.to_string s.O2.schedule)
+  in
+  let expected = Array.map answer instances in
+  let worker order () =
+    Array.init 3 (fun round ->
+        Array.map
+          (fun k ->
+            if (k + round) mod 5 = 0 then begin
+              try
+                ignore
+                  (Crs_util.Fuel.with_fuel (Some 25) (fun () -> O2.solve instances.(k)))
+              with Crs_util.Fuel.Out_of_fuel -> ()
+            end;
+            (k, answer instances.(k)))
+          order)
+  in
+  let fwd = Array.init 16 Fun.id in
+  let rev = Array.init 16 (fun k -> 15 - k) in
+  let d1 = Domain.spawn (worker fwd) and d2 = Domain.spawn (worker rev) in
+  List.iter
+    (fun rounds ->
+      Array.iter
+        (Array.iter (fun (k, got) ->
+             Alcotest.(check string)
+               (Printf.sprintf "instance %d matches its sequential answer" k)
+               expected.(k) got))
+        rounds)
+    [ Domain.join d1; Domain.join d2 ]
+
+(* After warm-up a solve's tableau comes from the pool, so the words it
+   allocates on the major heap no longer scale with the n^2 table
+   (161,605 per solve at n = 200 when each solve made its own). *)
+let test_pool_major_words_bounded () =
+  let n = 200 in
+  let i = pool_instance (Random.State.make [| 0x200 |]) ~n `Common in
+  for _ = 1 to 3 do
+    ignore (O2.solve i)
+  done;
+  let major () =
+    let _, _, ma = Gc.counters () in
+    ma
+  in
+  let best = ref infinity in
+  for _ = 1 to 5 do
+    let m0 = major () in
+    ignore (Sys.opaque_identity (O2.solve i));
+    best := Float.min !best (major () -. m0)
+  done;
+  let bound = float_of_int (20 * n) in
+  if !best > bound then
+    Alcotest.failf "Opt_two.solve n=%d: %.0f major words (bound %.0f)" n !best
+      bound
+
 let suite =
   [
     Alcotest.test_case "corpus instances agree with frozen kernels" `Quick
@@ -209,4 +327,10 @@ let suite =
       test_tier_boundary_parity;
     Alcotest.test_case "opt_two fuel price = reachable cells" `Quick
       test_fuel_price_is_reachable_cells;
+    Alcotest.test_case "pooled tableau: abort, then reuse" `Quick
+      test_pool_abort_then_reuse;
+    Alcotest.test_case "pooled tableau: two domains" `Quick
+      test_pool_concurrent_domains;
+    Alcotest.test_case "pooled tableau: major words bounded" `Quick
+      test_pool_major_words_bounded;
   ]

@@ -137,7 +137,16 @@ let test_protocol_strictness () =
   Alcotest.(check (option int)) "id recovered from bad body" (Some 42) p.id;
   let msg = parse_err {|{"proto":"crs-serve/1","kind":"hello"} trailing|} in
   Alcotest.(check bool) "trailing garbage carries offset" true
-    (Helpers.contains ~needle:"offset" msg)
+    (Helpers.contains ~needle:"offset" msg);
+  (* A bad instance token is named with its line and processor. *)
+  Alcotest.(check string) "bad instance token named"
+    {|field "instance": Instance.of_string: bad job "x" on line 1 (processor 0): Natural.of_string: non-digit|}
+    (parse_err
+       {|{"proto":"crs-serve/1","kind":"solve","instance":"1/2 x\n1/3"}|});
+  Alcotest.(check string) "zero denominator named on its line"
+    {|field "instance": Instance.of_string: bad job "3/0" on line 3 (processor 1): zero denominator|}
+    (parse_err
+       {|{"proto":"crs-serve/1","kind":"solve","instance":"1/2\n# c\n1/3 3/0"}|})
 
 let test_protocol_campaign_cap () =
   let msg =
