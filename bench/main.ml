@@ -890,7 +890,7 @@ let exp_serve ?(mode = `Run) () =
       queue = 128;
       cache_capacity = 128;
       default_fuel = Some 5_000_000;
-      drain_grace_s = 0.2;
+      conn = { S.default_config.conn with drain_grace_s = 0.2 };
     }
   in
   let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -1087,11 +1087,12 @@ let exp_serve ?(mode = `Run) () =
     |]
   in
   let tier_cfg =
+    let d = B.default_config ~shards:shards3 ~socket_dir ~shard_argv in
     {
-      (B.default_config ~shards:shards3 ~socket_dir ~shard_argv) with
+      d with
       B.health_interval_s = 0.5;
       restart_backoff_s = 0.05;
-      drain_grace_s = 0.2;
+      conn = { d.conn with drain_grace_s = 0.2 };
     }
   in
   let with_tier f =

@@ -1111,7 +1111,7 @@ let serve_cmd =
   in
   let max_conns =
     Arg.(
-      value & opt int d.max_conns
+      value & opt int d.conn.max_conns
       & info [ "max-conns" ] ~docv:"N"
           ~doc:
             "Concurrent-connection bound: connections beyond $(docv) are \
@@ -1127,7 +1127,7 @@ let serve_cmd =
   let idle_timeout =
     Arg.(
       value
-      & opt float d.idle_timeout_s
+      & opt float d.conn.idle_timeout_s
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:
             "Per-connection read deadline: a connection that starts a frame \
@@ -1170,14 +1170,17 @@ let serve_cmd =
     end;
     let config =
       {
-        Server.default_config with
         Server.workers;
         queue;
         cache_capacity = cache;
         default_fuel = (if fuel = 0 then None else Some fuel);
-        max_conns;
         backlog;
-        idle_timeout_s = idle_timeout;
+        conn =
+          {
+            d.conn with
+            Crs_serve.Frontend.max_conns;
+            idle_timeout_s = idle_timeout;
+          };
       }
     in
     (* Warm wiring: install the drain-time snapshot hook, then replay any
@@ -1326,7 +1329,7 @@ let balance_cmd =
   in
   let max_conns =
     Arg.(
-      value & opt int sd.max_conns
+      value & opt int sd.conn.max_conns
       & info [ "max-conns" ] ~docv:"N"
           ~doc:
             "Concurrent client connections at the balancer; beyond $(docv) \
@@ -1391,11 +1394,12 @@ let balance_cmd =
       Array.of_list (base @ warm)
     in
     let cfg =
+      let d = Balancer.default_config ~shards ~socket_dir ~shard_argv in
       {
-        (Balancer.default_config ~shards ~socket_dir ~shard_argv) with
+        d with
         Balancer.health_interval_s = health_interval;
         restart_backoff_s = restart_backoff;
-        max_conns;
+        conn = { d.conn with Crs_serve.Frontend.max_conns };
       }
     in
     match Server.parse_address listen with

@@ -31,13 +31,17 @@ type config = {
   shard_argv : index:int -> socket:string -> string array;
   health_interval_s : float;
   restart_backoff_s : float;
-  restart_backoff_max_s : float;
-  connect_timeout_s : float;
-  rpc_timeout_s : float;
-  drain_grace_s : float;
-  max_line_bytes : int;
-  max_conns : int;
+  conn : Frontend.settings;
 }
+
+(* How long a (re)spawned shard may take before its socket accepts. *)
+let connect_timeout_s = 10.0
+
+(* Deadline on each shard response: forwarding, pings, the drain. *)
+let rpc_timeout_s = 30.0
+
+(* Cap on the doubling respawn backoff. *)
+let restart_backoff_max_s = 2.0
 
 let shard_socket ~socket_dir index =
   Filename.concat socket_dir (Printf.sprintf "shard-%d.sock" index)
@@ -49,12 +53,7 @@ let default_config ~shards ~socket_dir ~shard_argv =
     shard_argv;
     health_interval_s = 1.0;
     restart_backoff_s = 0.05;
-    restart_backoff_max_s = 2.0;
-    connect_timeout_s = 10.0;
-    rpc_timeout_s = 30.0;
-    drain_grace_s = 0.5;
-    max_line_bytes = 1 lsl 20;
-    max_conns = 64;
+    conn = Frontend.default_settings;
   }
 
 (* ---- routing ---- *)
@@ -79,70 +78,7 @@ let route ~shards key =
     !best
   end
 
-(* ---- buffered line connections (balancer -> shard, with deadlines) ---- *)
-
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
-      go (off + n)
-  in
-  go 0
-
 let now_s () = Unix.gettimeofday ()
-
-module Conn = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
-
-  let of_fd fd = { fd; buf = Buffer.create 4096; eof = false }
-  let close t = try Unix.close t.fd with Unix.Unix_error _ -> ()
-  let send t line = write_all t.fd (line ^ "\n")
-
-  let pop_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some nl ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (nl + 1) (String.length s - nl - 1);
-      Some (String.sub s 0 nl)
-
-  (* One response line, or [None] on EOF / deadline. The deadline bounds
-     the whole receive, not one read — a shard that answers in drips
-     still has to finish in time. *)
-  let recv_line ~timeout_s t =
-    let deadline = now_s () +. timeout_s in
-    let chunk = Bytes.create 65536 in
-    let rec go () =
-      match pop_line t with
-      | Some line -> Some line
-      | None ->
-        if t.eof then None
-        else begin
-          let remaining = deadline -. now_s () in
-          if remaining <= 0.0 then None
-          else
-            match Unix.select [ t.fd ] [] [] (Float.min remaining 0.25) with
-            | [], _, _ -> go ()
-            | _ -> (
-              match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-              | 0 ->
-                t.eof <- true;
-                go ()
-              | n ->
-                Buffer.add_subbytes t.buf chunk 0 n;
-                go ()
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-              | exception
-                  Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-                t.eof <- true;
-                go ())
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-        end
-    in
-    go ()
-end
 
 (* ---- shard state ---- *)
 
@@ -169,9 +105,7 @@ type t = {
   accepted : int Atomic.t;
   answered : int Atomic.t;
   refused : int Atomic.t;
-  conns_live : int Atomic.t;
-  conns_accepted : int Atomic.t;
-  conns_refused : int Atomic.t;
+  front : Frontend.t;
   m_routed : Metrics.counter;
   m_answered : Metrics.counter;
   m_refused : Metrics.counter;
@@ -215,8 +149,8 @@ let try_connect sh =
 (* Ready = the socket accepts a connection. The shard may still be
    replaying warm state behind its listen backlog; that's fine — it is
    reachable, and requests queue until the replay finishes. *)
-let wait_ready cfg sh =
-  let deadline = now_s () +. cfg.connect_timeout_s in
+let wait_ready sh =
+  let deadline = now_s () +. connect_timeout_s in
   let rec go () =
     match try_connect sh with
     | Some fd ->
@@ -232,23 +166,23 @@ let wait_ready cfg sh =
   in
   go ()
 
-(* One request/response exchange on a fresh connection (health pings,
-   stats aggregation, the tier-drain shutdown). *)
-let rpc_once ?(timeout_s = 5.0) sh line =
-  match try_connect sh with
-  | None -> Error "unreachable"
-  | Some fd ->
-    let conn = Conn.of_fd fd in
-    Fun.protect
-      ~finally:(fun () -> Conn.close conn)
-      (fun () ->
-        match Conn.send conn line with
-        | () -> (
-          match Conn.recv_line ~timeout_s conn with
-          | Some response -> Ok response
-          | None -> Error "no response")
-        | exception Unix.Unix_error (e, _, _) ->
-          Error (Unix.error_message e))
+(* One request and its response on a shard connection: [None] on a dead
+   connection, a missed deadline or a truncated reply. *)
+let exchange conn line =
+  try
+    Frontend.Framer.send_line conn line;
+    Frontend.Framer.recv_line ~timeout_s:rpc_timeout_s
+      ~eof:Frontend.Framer.Drop_tail conn
+  with Unix.Unix_error _ -> None
+
+(* One exchange on a fresh connection (health pings, stats aggregation,
+   the tier-drain shutdown). *)
+let rpc_once sh line =
+  Option.bind (try_connect sh) (fun fd ->
+      let conn = Frontend.Framer.create fd in
+      Fun.protect
+        ~finally:(fun () -> Frontend.Framer.close conn)
+        (fun () -> exchange conn line))
 
 let stats_line =
   J.obj [ ("proto", J.str Protocol.version); ("kind", J.str "stats") ]
@@ -285,13 +219,13 @@ let monitor_loop t =
                 Mutex.unlock sh.lock;
                 Atomic.incr sh.restarts;
                 Metrics.incr t.m_restarts;
-                if wait_ready t.cfg sh then
+                if wait_ready sh then
                   backoff.(sh.index) <- t.cfg.restart_backoff_s
                 else
                   backoff.(sh.index) <-
                     Float.min
                       (2.0 *. backoff.(sh.index))
-                      t.cfg.restart_backoff_max_s
+                      restart_backoff_max_s
               end
             end
           | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
@@ -310,11 +244,11 @@ let health_loop t =
     Array.iter
       (fun sh ->
         if not (stopping t) then
-          match rpc_once ~timeout_s:t.cfg.rpc_timeout_s sh stats_line with
-          | Ok _ ->
+          match rpc_once sh stats_line with
+          | Some _ ->
             Atomic.incr sh.pings_ok;
             Atomic.set sh.alive true
-          | Error _ ->
+          | None ->
             Atomic.incr sh.pings_failed;
             Atomic.set sh.alive false)
       t.shards;
@@ -329,11 +263,6 @@ let health_loop t =
 (* ---- lifecycle ---- *)
 
 let create (cfg : config) =
-  (* As in Server.create: shard connections die under us by design
-     (that is what the monitor is for), and every send must surface as
-     EPIPE, not a process-killing SIGPIPE. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
-   with Invalid_argument _ -> ());
   if cfg.shards < 1 then Error "balancer: shards must be >= 1"
   else begin
     (try Unix.mkdir cfg.socket_dir 0o755
@@ -352,20 +281,36 @@ let create (cfg : config) =
             pings_failed = Atomic.make 0;
           })
     in
+    let stop = Atomic.make false in
+    let accepted = Atomic.make 0 in
+    let answered = Atomic.make 0 in
+    let refused = Atomic.make 0 in
+    let m_refused = Metrics.counter "balancer.refused" in
+    (* Lines the frontend answers itself follow the same accounting
+       rule as any other request line: read, counted, then answered or
+       refused. *)
+    let on_local_answer local =
+      Atomic.incr accepted;
+      match local with
+      | Frontend.Oversized_frame -> Atomic.incr answered
+      | Frontend.Draining_refusal ->
+        Atomic.incr refused;
+        Metrics.incr m_refused
+    in
     let t =
       {
         cfg;
         shards;
-        stop = Atomic.make false;
-        accepted = Atomic.make 0;
-        answered = Atomic.make 0;
-        refused = Atomic.make 0;
-        conns_live = Atomic.make 0;
-        conns_accepted = Atomic.make 0;
-        conns_refused = Atomic.make 0;
+        stop;
+        accepted;
+        answered;
+        refused;
+        front =
+          Frontend.create ~on_local_answer cfg.conn ~name:"balancer"
+            ~stopping:(fun () -> Atomic.get stop);
         m_routed = Metrics.counter "balancer.routed";
         m_answered = Metrics.counter "balancer.answered";
-        m_refused = Metrics.counter "balancer.refused";
+        m_refused;
         m_restarts = Metrics.counter "balancer.restarts";
         monitor = None;
         health = None;
@@ -374,7 +319,7 @@ let create (cfg : config) =
     Array.iter (fun sh -> spawn_shard cfg sh) shards;
     let late =
       Array.to_list shards
-      |> List.filter (fun sh -> not (wait_ready cfg sh))
+      |> List.filter (fun sh -> not (wait_ready sh))
       |> List.map (fun sh -> sh.index)
     in
     match late with
@@ -399,7 +344,7 @@ let create (cfg : config) =
         (Printf.sprintf
            "balancer: shard(s) %s not accepting connections within %.1fs"
            (String.concat ", " (List.map string_of_int late))
-           cfg.connect_timeout_s)
+           connect_timeout_s)
   end
 
 (* Tier-wide drain entry: flip stopping, then ask every shard to shut
@@ -410,7 +355,7 @@ let begin_drain t =
   if Atomic.compare_and_set t.stop false true then
     Array.iter
       (fun sh ->
-        ignore (rpc_once ~timeout_s:t.cfg.rpc_timeout_s sh shutdown_line))
+        ignore (rpc_once sh shutdown_line))
       t.shards
 
 let reap t =
@@ -474,9 +419,9 @@ let stats_payload t =
   let fetched =
     Array.map
       (fun sh ->
-        match rpc_once ~timeout_s:t.cfg.rpc_timeout_s sh stats_line with
-        | Ok line -> (sh, Result.to_option (J.parse line))
-        | Error _ -> (sh, None))
+        match rpc_once sh stats_line with
+        | Some line -> (sh, Result.to_option (J.parse line))
+        | None -> (sh, None))
       t.shards
   in
   let sum path =
@@ -548,13 +493,7 @@ let stats_payload t =
               (Array.fold_left
                  (fun acc sh -> acc + Atomic.get sh.restarts)
                  0 t.shards) );
-          ( "connections",
-            J.obj
-              [
-                ("live", J.int (Atomic.get t.conns_live));
-                ("accepted", J.int (Atomic.get t.conns_accepted));
-                ("refused", J.int (Atomic.get t.conns_refused));
-              ] );
+          ("connections", J.obj (Frontend.stats t.front));
           ("shard", J.arr (Array.to_list (Array.map shard_json fetched)));
         ] );
   ]
@@ -566,9 +505,9 @@ let stats_payload t =
    because the session is serial), and a failed connection is dropped so
    the next request reconnects — which is how a restarted shard comes
    back into rotation. *)
-type session_conns = Conn.t option array
+type session_conns = Frontend.Framer.t option array
 
-let shard_rpc t (conns : session_conns) sh line =
+let shard_rpc (conns : session_conns) sh line =
   let attempt () =
     let conn =
       match conns.(sh.index) with
@@ -576,7 +515,7 @@ let shard_rpc t (conns : session_conns) sh line =
       | None -> (
         match try_connect sh with
         | Some fd ->
-          let c = Conn.of_fd fd in
+          let c = Frontend.Framer.create fd in
           conns.(sh.index) <- Some c;
           Some c
         | None -> None)
@@ -584,13 +523,10 @@ let shard_rpc t (conns : session_conns) sh line =
     match conn with
     | None -> None
     | Some c -> (
-      match
-        Conn.send c line;
-        Conn.recv_line ~timeout_s:t.cfg.rpc_timeout_s c
-      with
-      | Some response -> Some response
-      | None | (exception Unix.Unix_error (_, _, _)) ->
-        Conn.close c;
+      match exchange c line with
+      | Some _ as response -> response
+      | None ->
+        Frontend.Framer.close c;
         conns.(sh.index) <- None;
         None)
   in
@@ -624,7 +560,7 @@ let handle_request t (conns : session_conns) line =
       ~attrs:[ ("kind", Trace.Str req); ("shard", Trace.Int idx) ]
       "balancer.route"
       (fun () ->
-        match shard_rpc t conns sh line with
+        match shard_rpc conns sh line with
         | Some response ->
           Atomic.incr t.answered;
           Metrics.incr t.m_answered;
@@ -660,132 +596,13 @@ let handle_request t (conns : session_conns) line =
 
 (* ---- client sessions ---- *)
 
-let send_event fd payload =
-  try write_all fd (Protocol.respond ~id:None ~req:"connection" payload ^ "\n")
-  with Unix.Unix_error _ -> ()
-
-let refuse_conn t fd =
-  Atomic.incr t.conns_refused;
-  send_event fd (Protocol.overloaded ());
-  try Unix.close fd with Unix.Unix_error _ -> ()
-
-let session t fd =
+let session t () =
   let conns : session_conns = Array.make t.cfg.shards None in
-  let pending = Buffer.create 4096 in
-  let chunk = Bytes.create 65536 in
-  let rec split_lines acc =
-    let s = Buffer.contents pending in
-    match String.index_opt s '\n' with
-    | None -> List.rev acc
-    | Some nl ->
-      let line = String.sub s 0 nl in
-      Buffer.clear pending;
-      Buffer.add_substring pending s (nl + 1) (String.length s - nl - 1);
-      split_lines (line :: acc)
-  in
-  let refuse_draining line =
-    (* Same accounting rule as any other request: read, counted, refused
-       with structure. *)
-    Atomic.incr t.accepted;
-    Atomic.incr t.refused;
-    Metrics.incr t.m_refused;
-    let p = Protocol.parse line in
-    let req =
-      match p.Protocol.body with
-      | Ok r -> Protocol.kind_of_request r
-      | Error _ -> "unknown"
-    in
-    Protocol.respond ~id:p.Protocol.id ~req (Protocol.draining ())
-  in
-  let handle_lines lines =
-    match List.filter (fun l -> String.trim l <> "") lines with
-    | [] -> ()
-    | lines ->
-      let respond =
-        if stopping t then refuse_draining else handle_request t conns
-      in
-      let responses = List.map respond lines in
-      write_all fd (String.concat "\n" responses ^ "\n")
-  in
-  let stop_seen = ref None in
-  let rec loop () =
-    (match (stopping t, !stop_seen) with
-    | true, None -> stop_seen := Some (now_s ())
-    | _ -> ());
-    match !stop_seen with
-    | Some since when now_s () -. since >= t.cfg.drain_grace_s -> ()
-    | _ -> (
-      match Unix.select [ fd ] [] [] 0.05 with
-      | [], _, _ -> loop ()
-      | _ -> (
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 ->
-          if Buffer.length pending > 0 then begin
-            let last = Buffer.contents pending in
-            Buffer.clear pending;
-            handle_lines [ last ]
-          end
-        | n ->
-          Buffer.add_subbytes pending chunk 0 n;
-          let lines = split_lines [] in
-          if
-            List.exists
-              (fun l -> String.length l > t.cfg.max_line_bytes)
-              lines
-            || Buffer.length pending > t.cfg.max_line_bytes
-          then begin
-            (* Oversized frame: same poisoning rule as the shards — the
-               rest of the buffer is garbage, answer and close. *)
-            Atomic.incr t.accepted;
-            Atomic.incr t.answered;
-            send_event fd (Protocol.oversized ~limit:t.cfg.max_line_bytes)
-          end
-          else begin
-            handle_lines lines;
-            loop ()
-          end
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop ())
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (function Some c -> Conn.close c | None -> ()) conns;
-      try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try loop ()
-      with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> ())
+  {
+    Frontend.handle_lines = List.map (handle_request t conns);
+    finish =
+      (fun () -> Array.iter (Option.iter Frontend.Framer.close) conns);
+  }
 
-let attach t fd =
-  (* See try_connect: client fds must not leak into respawned workers. *)
-  (try Unix.set_close_on_exec fd with Unix.Unix_error _ -> ());
-  if Atomic.fetch_and_add t.conns_live 1 >= t.cfg.max_conns then begin
-    Atomic.decr t.conns_live;
-    refuse_conn t fd;
-    None
-  end
-  else begin
-    Atomic.incr t.conns_accepted;
-    Some
-      (Thread.create
-         (fun () ->
-           Fun.protect
-             ~finally:(fun () -> Atomic.decr t.conns_live)
-             (fun () -> session t fd))
-         ())
-  end
-
-let serve t fd =
-  let readers = ref [] in
-  while not (stopping t) do
-    match Unix.select [ fd ] [] [] 0.05 with
-    | [], _, _ -> ()
-    | _ -> (
-      match Unix.accept fd with
-      | conn, _ -> (
-        match attach t conn with
-        | Some reader -> readers := reader :: !readers
-        | None -> ())
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-  done;
-  List.iter Thread.join !readers
+let attach t fd = Frontend.attach t.front ~session:(session t) fd
+let serve t fd = Frontend.serve t.front ~session:(session t) fd

@@ -26,7 +26,11 @@
     - A tier drain ([shutdown] request, or {!drain}) forwards
       [shutdown] to every shard (each snapshots warm state via its
       drain hook and exits), refuses latecomers with [draining], then
-      reaps every worker before returning. *)
+      reaps every worker before returning.
+    - Client connections go through the same {!Frontend} as a shard's:
+      a client that stalls mid-frame is evicted, an oversized frame
+      poisons only its connection, connections beyond [max_conns] are
+      refused. *)
 
 type config = {
   shards : int;  (** worker-process count, >= 1 *)
@@ -36,18 +40,12 @@ type config = {
       (** argv for shard [index] listening on [socket];
           [argv.(0)] is the executable path *)
   health_interval_s : float;  (** delay between stats-ping sweeps *)
-  restart_backoff_s : float;  (** first respawn delay after a death *)
-  restart_backoff_max_s : float;  (** backoff doubling cap *)
-  connect_timeout_s : float;
-      (** how long to wait for a (re)spawned shard's socket to accept *)
-  rpc_timeout_s : float;  (** per-response deadline on shard
-                              connections (forwarding, pings, drain) *)
-  drain_grace_s : float;
-      (** how long client readers answer latecomers with [draining]
-          during a tier drain before closing *)
-  max_line_bytes : int;  (** client frame bound, as in {!Server} *)
-  max_conns : int;  (** concurrent client connections; beyond = one
-                        structured [overloaded] response and close *)
+  restart_backoff_s : float;
+      (** first respawn delay after a death; doubles per consecutive
+          failure up to 2 s *)
+  conn : Frontend.settings;
+      (** the client-facing front: max conns, idle deadline, drain
+          grace, frame bound *)
 }
 
 val default_config :
@@ -55,9 +53,9 @@ val default_config :
   socket_dir:string ->
   shard_argv:(index:int -> socket:string -> string array) ->
   config
-(** Health interval 1 s, backoff 0.05 s doubling to 2 s, connect
-    timeout 10 s, rpc timeout 30 s, drain grace 0.5 s, max line 1 MiB,
-    max conns 64. *)
+(** Health interval 1 s, backoff 0.05 s, {!Frontend.default_settings}.
+    Fixed, not configurable: a (re)spawned shard gets 10 s to accept,
+    and every shard response (forwarding, pings, the drain) 30 s. *)
 
 val shard_socket : socket_dir:string -> int -> string
 (** [socket_dir/shard-<i>.sock] — the path [shard_argv] receives. *)
@@ -77,14 +75,13 @@ val create : config -> (t, string) result
     came up) kills any worker that did start. *)
 
 val serve : t -> Unix.file_descr -> unit
-(** Accept loop on the public listening socket: one reader thread per
-    client connection. Returns after a tier drain has begun and every
-    reader has quiesced. The caller still owns the listening fd. *)
+(** {!Frontend.serve} on the public listening socket: returns after a
+    tier drain has begun and every reader has quiesced. The caller
+    still owns the listening fd. *)
 
 val attach : t -> Unix.file_descr -> Thread.t option
-(** Register a connected client fd (tests/benches drive the balancer
-    over socketpairs with this): spawns and returns its reader thread,
-    or refuses it ([overloaded] + close, [None]) beyond [max_conns]. *)
+(** {!Frontend.attach} for a connected client fd (tests and benches
+    drive the balancer over socketpairs with this). *)
 
 val drain : t -> unit
 (** Begin (or join) the tier drain: forward [shutdown] to every shard,
@@ -102,7 +99,7 @@ val shard_pids : t -> int array
 val stats_payload : t -> (string * string) list
 (** The aggregated [stats] payload: tier-wide request/cache sums over
     live per-shard stats RPCs, plus a [balancer] object — accepted /
-    answered / refused accounting, restart total, connection counters
-    and a per-shard array (index, alive, pid, restarts, routed, ping
+    answered / refused accounting, restart total, the front's
+    {!Frontend.stats} connection counters and a per-shard array (index, alive, pid, restarts, routed, ping
     counts, and the shard's own requests / cache / [warm] progress
     passed through verbatim). *)

@@ -1,54 +1,14 @@
 let monotonic_ns = Crs_obs.Trace.monotonic_ns
 
-let write_all fd s =
-  let len = String.length s in
-  let rec go off =
-    if off < len then
-      let n = Unix.write_substring fd s off (len - off) in
-      go (off + n)
-  in
-  go 0
+module Framer = Frontend.Framer
 
+(* A client reads responses, so a final unterminated line is still one. *)
 module Client = struct
-  type t = { fd : Unix.file_descr; buf : Buffer.t; mutable eof : bool }
+  type t = Framer.t
 
-  let of_fd fd = { fd; buf = Buffer.create 4096; eof = false }
-  let send_line t line = write_all t.fd (line ^ "\n")
-
-  (* Pop one complete line from the buffer, if any. *)
-  let pop_line t =
-    let s = Buffer.contents t.buf in
-    match String.index_opt s '\n' with
-    | None -> None
-    | Some nl ->
-      Buffer.clear t.buf;
-      Buffer.add_substring t.buf s (nl + 1) (String.length s - nl - 1);
-      Some (String.sub s 0 nl)
-
-  let refill t =
-    let chunk = Bytes.create 65536 in
-    match Unix.read t.fd chunk 0 (Bytes.length chunk) with
-    | 0 ->
-      t.eof <- true;
-      false
-    | n ->
-      Buffer.add_subbytes t.buf chunk 0 n;
-      true
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> true
-
-  let rec recv_line t =
-    match pop_line t with
-    | Some line -> Some line
-    | None ->
-      if t.eof then
-        if Buffer.length t.buf > 0 then begin
-          let last = Buffer.contents t.buf in
-          Buffer.clear t.buf;
-          Some last
-        end
-        else None
-      else if refill t then recv_line t
-      else recv_line t (* eof just set; flush any unterminated tail *)
+  let of_fd = Framer.create
+  let send_line = Framer.send_line
+  let recv_line t = Framer.recv_line ~eof:Framer.Keep_tail t
 
   let rpc t line =
     send_line t line;
@@ -159,7 +119,7 @@ let run ?(seed = 1) (client : Client.t) ~arrival ~requests =
       let last_recv = ref start in
       let absorb_ready () =
         let rec pop () =
-          match Client.pop_line client with
+          match Framer.next_line client with
           | Some _ ->
             let now = monotonic_ns () in
             last_recv := now;
@@ -173,9 +133,9 @@ let run ?(seed = 1) (client : Client.t) ~arrival ~requests =
         in
         pop ()
       in
-      while !received < n && not client.eof do
+      while !received < n && not (Framer.at_eof client) do
         absorb_ready ();
-        if !received < n && not client.eof then begin
+        if !received < n && not (Framer.at_eof client) then begin
           let now = monotonic_ns () in
           if !sent < n && Int64.compare (Int64.sub now start) plan.(!sent) >= 0
           then begin
@@ -192,10 +152,8 @@ let run ?(seed = 1) (client : Client.t) ~arrival ~requests =
                 max 0.0 (Int64.to_float wait_ns /. 1e9)
               else 1.0
             in
-            match Unix.select [ client.fd ] [] [] timeout with
-            | [], _, _ -> ()
-            | _ -> ignore (Client.refill client)
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            if Frontend.readable (Framer.fd client) timeout then
+              Framer.fill client
           end
         end
       done;

@@ -14,38 +14,17 @@
     with it. Responses on one connection always come back in that
     connection's request order.
 
-    {2 Concurrency model}
+    {2 Connections}
 
-    An acceptor thread ({!serve}) accepts connections and spawns one
-    {i reader} per connection (a systhread — readers are IO-bound; the
-    solving itself runs on the executor's worker domains), bounded by
-    [max_conns]: connections beyond the bound are answered with one
-    structured [overloaded] response and closed ({i refused}).
-    Connections interleave freely — each reader waits only on its own
-    batches via {!Crs_exec.Exec.Batch} handles — while per-connection
-    response order is preserved because each reader processes its own
-    batches sequentially.
-
-    {2 Edge robustness}
-
-    A connection that goes wrong dies alone; siblings keep serving:
-    - {i slow-loris}: a frame was started but not finished within
-      [idle_timeout_s] — structured [evicted] response, connection
-      closed (a quiet connection with no partial frame is just idle
-      and is never evicted);
-    - {i oversized frame}: a line longer than [max_line_bytes] —
-      structured error naming the limit, connection closed;
-    - {i malformed frames / mid-line EOF}: answered with structured
-      errors in-stream (a final unterminated line at EOF is still a
-      request); the connection lives on (EOF ends it normally).
-
-    {2 Graceful drain}
-
-    A [shutdown] request stops the acceptor and begins the drain:
-    in-flight batches finish and their responses are written; for
-    [drain_grace_s] each reader answers late requests with structured
-    [draining] refusals; then every connection is closed and {!serve}
-    returns only after all readers have quiesced. *)
+    The connection layer — one reader systhread per connection bounded
+    by [max_conns], slow-loris eviction, oversized-frame poisoning,
+    mid-line EOF, graceful drain — is the shared {!Frontend};
+    connections interleave freely (each reader waits only on its own
+    batches via {!Crs_exec.Exec.Batch} handles) while per-connection
+    response order is preserved. A [shutdown] request stops the
+    acceptor and begins the drain: in-flight batches finish and are
+    answered, late requests get [draining] refusals for the grace
+    window, then {!serve} returns once no connection is live. *)
 
 type config = {
   workers : int;  (** pool domains for batch work *)
@@ -53,21 +32,15 @@ type config = {
   cache_capacity : int;  (** memo-cache entries; 0 disables *)
   default_fuel : int option;
       (** deadline for requests that don't set ["fuel"]; [None] = none *)
-  max_conns : int;  (** concurrent-connection bound; beyond = refused *)
   backlog : int;  (** listen(2) backlog for {!bind_address} *)
-  idle_timeout_s : float;
-      (** per-connection mid-frame read deadline (slow-loris
-          eviction); 0 = none *)
-  drain_grace_s : float;
-      (** how long readers refuse late requests during graceful drain *)
-  max_line_bytes : int;
-      (** frame bound; longer lines poison (close) their connection *)
+  conn : Frontend.settings;
+      (** per-connection limits: max conns, idle deadline, drain grace,
+          frame bound *)
 }
 
 val default_config : config
 (** workers 2, queue 64, cache 256, default fuel [Some 5_000_000],
-    max_conns 64, backlog 128, idle timeout 30 s, drain grace 0.5 s,
-    max line 1 MiB. *)
+    backlog 128, {!Frontend.default_settings}. *)
 
 type t
 
@@ -132,19 +105,14 @@ val warm_finish : t -> unit
 
 val serve_io : t -> input:Unix.file_descr -> output:Unix.file_descr -> unit
 (** Serve a single session until EOF on [input] or a [shutdown]
-    request: read chunks, batch complete lines, write responses.
-    Partial trailing lines are buffered across reads; a final
-    unterminated line at EOF is processed as its own batch. No idle
-    eviction and no drain grace — this is the stdio/pipeline mode. *)
+    request ({!Frontend.serve_io}): no idle eviction and no drain grace
+    — this is the stdio/pipeline mode. *)
 
 val attach : t -> Unix.file_descr -> Thread.t option
-(** Register a connected stream fd as a live connection: spawns and
-    returns its reader thread (the caller joins it, as {!serve} does
-    for accepted connections), or — when the [max_conns] limit is
-    reached — writes one structured [overloaded] response, closes the
-    fd, counts the refusal and returns [None]. The reader closes the
-    fd when the session ends. Exposed so tests and benches can drive
-    the concurrent frontend over socketpairs without a listener. *)
+(** {!Frontend.attach} a connected stream fd: its reader thread, or
+    [None] when refused beyond [max_conns]. Exposed so tests and
+    benches can drive the frontend over socketpairs without a
+    listener. *)
 
 type address = Unix_sock of string | Tcp of string * int
 
@@ -162,10 +130,9 @@ val bind_address :
     create) — the error names the address and the system cause. *)
 
 val serve : t -> Unix.file_descr -> unit
-(** Concurrent accept loop on a listening socket: one reader thread
-    per accepted connection (via {!attach}), until a [shutdown]
-    request arrives; then joins every reader (graceful drain) before
-    returning. *)
+(** {!Frontend.serve}: the accept loop on a listening socket until a
+    [shutdown] request arrives; returns once every reader has
+    quiesced (graceful drain). *)
 
 val close_address : address -> Unix.file_descr -> unit
 (** Close the listening socket and remove a Unix socket path. *)

@@ -2,10 +2,14 @@
    Loadgen.run_multi over 4 live connections — a heavy closed-loop
    pass, a bursty open-loop pass, then a maximally-pipelined
    byte-identity pass against single-connection goldens — plus exact
-   connection accounting and a graceful shutdown. Tier-1 runs the same
-   machinery at smoke scale (test_serve); this is the torture loop. *)
+   connection accounting and a graceful shutdown; then 20k connections
+   of churn through Server.serve and through Balancer.serve in front of
+   two `crsched serve` shards (the executable is argv 1). Tier-1 runs
+   the same machinery at smoke scale (test_serve); this is the torture
+   loop. *)
 
 module S = Crs_serve.Server
+module B = Crs_serve.Balancer
 module L = Crs_serve.Loadgen
 module P = Crs_serve.Protocol
 module J = Crs_util.Stable_json
@@ -38,7 +42,7 @@ let () =
       queue = 1024;
       cache_capacity = 64;
       default_fuel = None;
-      drain_grace_s = 0.1;
+      conn = { S.default_config.conn with drain_grace_s = 0.1 };
     }
   in
   let server = S.create config in
@@ -134,6 +138,59 @@ let () =
     (fun (_, cfd) -> try Unix.close cfd with Unix.Unix_error _ -> ())
     fds;
   S.drain server;
-  Printf.printf "serve stress passed: %d connections, %d requests\n"
+  Printf.printf "serve stress passed: %d connections, %d requests\n%!"
     conns
-    (2000 + 1000 + (conns * 200))
+    (2000 + 1000 + (conns * 200));
+  let churn_n = 20_000 in
+  let connections json_of path () =
+    let json = json_of () in
+    (stats_int json (path @ [ "live" ]), stats_int json (path @ [ "accepted" ]))
+  in
+  let parse payload =
+    match J.parse (J.obj payload) with
+    | Ok v -> v
+    | Error msg -> failwith ("serve stress: stats unparseable: " ^ msg)
+  in
+  let server = S.create config in
+  Churn.run ~n:churn_n
+    {
+      Churn.serve = S.serve server;
+      connections =
+        connections (fun () -> parse (S.stats_payload server)) [ "connections" ];
+      drain_grace_s = config.conn.drain_grace_s;
+    };
+  S.drain server;
+  Printf.printf "stress ok: %d connections churned through Server.serve\n%!"
+    churn_n;
+  let exe =
+    let p = Sys.argv.(1) in
+    if Filename.is_relative p then Filename.concat (Sys.getcwd ()) p else p
+  in
+  let socket_dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "crs-stress-shards-%d" (Unix.getpid ()))
+  in
+  let shard_argv ~index:_ ~socket =
+    [| exe; "serve"; "--listen"; "unix:" ^ socket; "--workers"; "1" |]
+  in
+  let cfg = B.default_config ~shards:2 ~socket_dir ~shard_argv in
+  match B.create cfg with
+  | Error msg -> failwith ("serve stress: " ^ msg)
+  | Ok tier ->
+    Fun.protect
+      ~finally:(fun () ->
+        B.drain tier;
+        try Unix.rmdir socket_dir with Unix.Unix_error _ -> ())
+      (fun () ->
+        Churn.run ~n:churn_n
+          {
+            Churn.serve = B.serve tier;
+            connections =
+              connections
+                (fun () -> parse (B.stats_payload tier))
+                [ "balancer"; "connections" ];
+            drain_grace_s = cfg.conn.drain_grace_s;
+          });
+    Printf.printf "stress ok: %d connections churned through Balancer.serve\n"
+      churn_n

@@ -182,17 +182,24 @@ let tier_config ?(warm_state = "") ~socket_dir ~shards () =
     in
     Array.of_list (base @ warm)
   in
+  let d = Balancer.default_config ~shards ~socket_dir ~shard_argv in
   {
-    (Balancer.default_config ~shards ~socket_dir ~shard_argv) with
+    d with
     Balancer.health_interval_s = 0.2;
     restart_backoff_s = 0.05;
-    drain_grace_s = 0.2;
+    conn = { d.conn with Crs_serve.Frontend.drain_grace_s = 0.2 };
   }
 
 let with_tier cfg f =
   match Balancer.create cfg with
   | Error msg -> Alcotest.failf "tier failed to start: %s" msg
-  | Ok t -> Fun.protect ~finally:(fun () -> Balancer.drain t) (fun () -> f t)
+  | Ok t ->
+    Fun.protect
+      ~finally:(fun () ->
+        Balancer.drain t;
+        (* The drain unlinked the shard sockets; drop their directory. *)
+        try Unix.rmdir cfg.Balancer.socket_dir with Unix.Unix_error _ -> ())
+      (fun () -> f t)
 
 type conn = {
   client : Loadgen.Client.t;
@@ -200,14 +207,18 @@ type conn = {
   reader : Thread.t option;
 }
 
-let open_conn t =
-  let balancer_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+(* One socketpair connection registered through a frontend's [attach]
+   (Balancer.attach here, Server.attach in test_serve). *)
+let connect attach =
+  let front_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* Without close-on-exec a respawned shard inherits this fd at
      create_process time, and closing our end then never produces EOF
      for the balancer's reader (attach covers the balancer side). *)
   Unix.set_close_on_exec client_fd;
-  let reader = Balancer.attach t balancer_fd in
+  let reader = attach front_fd in
   { client = Loadgen.Client.of_fd client_fd; client_fd; reader }
+
+let open_conn t = connect (Balancer.attach t)
 
 let close_conn c =
   (try Unix.close c.client_fd with Unix.Unix_error _ -> ());

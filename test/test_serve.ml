@@ -8,6 +8,8 @@ module Canon = Crs_serve.Canon
 module Protocol = Crs_serve.Protocol
 module Server = Crs_serve.Server
 module Loadgen = Crs_serve.Loadgen
+module Frontend = Crs_serve.Frontend
+module Balancer = Crs_serve.Balancer
 module J = Crs_util.Stable_json
 module R = Crs_algorithms.Registry
 
@@ -457,24 +459,22 @@ let conn_config =
     queue = 64;
     cache_capacity = 32;
     default_fuel = None;
-    idle_timeout_s = 0.0;
-    drain_grace_s = 0.4;
+    conn =
+      {
+        Frontend.default_settings with
+        idle_timeout_s = 0.0;
+        drain_grace_s = 0.4;
+      };
   }
 
-type conn = {
+type conn = Test_balance.conn = {
   client : Loadgen.Client.t;
   client_fd : Unix.file_descr;
   reader : Thread.t option;
 }
 
-let open_conn server =
-  let server_fd, client_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let reader = Server.attach server server_fd in
-  { client = Loadgen.Client.of_fd client_fd; client_fd; reader }
-
-let close_conn c =
-  (try Unix.close c.client_fd with Unix.Unix_error _ -> ());
-  match c.reader with Some th -> Thread.join th | None -> ()
+let open_conn server = Test_balance.connect (Server.attach server)
+let close_conn = Test_balance.close_conn
 
 let raw_send fd s =
   let len = String.length s in
@@ -621,20 +621,69 @@ let test_latency_histogram_per_kind () =
         true
         (mx <= p99 || p99 = 0))
 
-(* Satellite: adversarial-client battery. Each hostile connection dies
-   alone — with a structured answer — while a well-behaved sibling on
-   the same server keeps completing solves. *)
-let test_adversarial_slow_loris () =
-  with_server
-    { conn_config with Server.idle_timeout_s = 0.15 }
-    (fun server ->
-      let victim = open_conn server in
-      let sibling = open_conn server in
+(* Adversarial-client battery, run against both frontends —
+   a Server over socketpairs and a 2-shard Balancer in front of real
+   shard processes. Each hostile connection dies alone, with a
+   structured answer, while a well-behaved sibling on the same front
+   keeps completing solves. *)
+type front = {
+  open_conn : unit -> conn;
+  serve : Unix.file_descr -> unit;  (* the accept loop *)
+  conn_stat : string -> int;  (* the stats connections.<field> *)
+  stopping : unit -> bool;
+  accounting : unit -> unit;  (* the balancer's accepted = answered + refused *)
+  drain_grace_s : float;
+}
+
+let with_front which tweak f =
+  match which with
+  | `Server ->
+    let conn = tweak conn_config.conn in
+    with_server { conn_config with conn } (fun server ->
+        f
+          {
+            open_conn = (fun () -> open_conn server);
+            serve = Server.serve server;
+            conn_stat = (fun k -> stats_field server [ "connections"; k ]);
+            stopping = (fun () -> Server.stopping server);
+            accounting = ignore;
+            drain_grace_s = conn.drain_grace_s;
+          })
+  | `Balancer ->
+    let cfg =
+      Test_balance.tier_config ~socket_dir:(Test_balance.temp_dir ()) ~shards:2
+        ()
+    in
+    let conn = tweak cfg.conn in
+    Test_balance.with_tier { cfg with conn } (fun t ->
+        f
+          {
+            open_conn = (fun () -> Test_balance.open_conn t);
+            serve = Balancer.serve t;
+            conn_stat =
+              (fun k ->
+                Test_balance.balancer_stat t [ "balancer"; "connections"; k ]);
+            stopping = (fun () -> Balancer.stopping t);
+            accounting = (fun () -> Test_balance.check_accounting t);
+            drain_grace_s = conn.drain_grace_s;
+          })
+
+let test_adversarial_slow_loris which () =
+  with_front which
+    (fun c -> { c with Frontend.idle_timeout_s = 0.15 })
+    (fun front ->
+      let victim = front.open_conn () in
+      let sibling = front.open_conn () in
       (* Half a frame, then silence. *)
       raw_send victim.client_fd {|{"proto":"crs-serve|};
       let r = Loadgen.Client.rpc sibling.client (solve_line (random_instance 7)) in
       Alcotest.(check string) "sibling solves while loris hangs" "ok"
         (response_status r);
+      (* Bounded wait: a front without the deadline would hold the loris
+         for ever. *)
+      (match Unix.select [ victim.client_fd ] [] [] 5.0 with
+      | [], _, _ -> Alcotest.fail "loris not evicted within 5 s"
+      | _ -> ());
       (match Loadgen.Client.recv_line victim.client with
       | Some r ->
         Alcotest.(check string) "structured eviction" "evicted"
@@ -649,16 +698,16 @@ let test_adversarial_slow_loris () =
       let r = Loadgen.Client.rpc sibling.client (solve_line (random_instance 8)) in
       Alcotest.(check string) "sibling survives the eviction" "ok"
         (response_status r);
-      Alcotest.(check int) "evicted counted" 1
-        (stats_field server [ "connections"; "evicted" ]);
+      Alcotest.(check int) "evicted counted" 1 (front.conn_stat "evicted");
       close_conn victim;
-      close_conn sibling)
+      close_conn sibling;
+      front.accounting ())
 
-let test_adversarial_battery () =
-  with_server
-    { conn_config with Server.max_line_bytes = 256 }
-    (fun server ->
-      let sibling = open_conn server in
+let test_adversarial_battery which () =
+  with_front which
+    (fun c -> { c with Frontend.max_line_bytes = 256 })
+    (fun front ->
+      let sibling = front.open_conn () in
       let solve_ok msg =
         let r =
           Loadgen.Client.rpc sibling.client (solve_line (random_instance 9))
@@ -667,7 +716,7 @@ let test_adversarial_battery () =
       in
       (* Mid-line EOF: the unterminated fragment is still answered (as a
          parse error), then the connection ends cleanly. *)
-      let c = open_conn server in
+      let c = front.open_conn () in
       raw_send c.client_fd {|{"proto":"crs-serve/1","kind":|};
       Unix.shutdown c.client_fd Unix.SHUTDOWN_SEND;
       (match Loadgen.Client.recv_line c.client with
@@ -681,7 +730,7 @@ let test_adversarial_battery () =
       close_conn c;
       (* Oversized frame: structured error naming the limit, then the
          poisoned connection is closed — alone. *)
-      let c = open_conn server in
+      let c = front.open_conn () in
       raw_send c.client_fd (String.make 300 'x' ^ "\n");
       (match Loadgen.Client.recv_line c.client with
       | Some r ->
@@ -695,7 +744,7 @@ let test_adversarial_battery () =
       solve_ok "sibling unharmed by oversized frame";
       (* Garbage frame: answered with the parser's offset error; the
          same connection keeps serving. *)
-      let c = open_conn server in
+      let c = front.open_conn () in
       raw_send c.client_fd "!!not json!!\n";
       (match Loadgen.Client.recv_line c.client with
       | Some r ->
@@ -709,15 +758,16 @@ let test_adversarial_battery () =
         (response_status r);
       solve_ok "sibling unharmed by garbage";
       close_conn c;
-      close_conn sibling)
+      close_conn sibling;
+      front.accounting ())
 
-let test_connection_refusal_beyond_max_conns () =
-  with_server
-    { conn_config with Server.max_conns = 2 }
-    (fun server ->
-      let a = open_conn server in
-      let b = open_conn server in
-      let c = open_conn server in
+let test_connection_refusal_beyond_max_conns which () =
+  with_front which
+    (fun c -> { c with Frontend.max_conns = 2 })
+    (fun front ->
+      let a = front.open_conn () in
+      let b = front.open_conn () in
+      let c = front.open_conn () in
       Alcotest.(check bool) "first two admitted" true
         (a.reader <> None && b.reader <> None);
       Alcotest.(check bool) "third refused" true (c.reader = None);
@@ -730,23 +780,23 @@ let test_connection_refusal_beyond_max_conns () =
       | None -> Alcotest.fail "refused connection got no response");
       Alcotest.(check (option string)) "refused connection closed" None
         (Loadgen.Client.recv_line c.client);
-      Alcotest.(check int) "refused counted" 1
-        (stats_field server [ "connections"; "refused" ]);
+      Alcotest.(check int) "refused counted" 1 (front.conn_stat "refused");
       (* The admitted connections still serve. *)
       let r = Loadgen.Client.rpc a.client (solve_line (random_instance 11)) in
       Alcotest.(check string) "admitted conn solves" "ok" (response_status r);
       close_conn a;
       close_conn b;
-      close_conn c)
+      close_conn c;
+      front.accounting ())
 
 (* Satellite: graceful drain under load — in-flight requests travelling
    with the shutdown finish and are answered; a late request on a
    sibling connection gets a structured draining refusal; then every
    connection quiesces to EOF. *)
-let test_graceful_drain_under_load () =
-  with_server conn_config (fun server ->
-      let a = open_conn server in
-      let b = open_conn server in
+let test_graceful_drain_under_load which () =
+  with_front which Fun.id (fun front ->
+      let a = front.open_conn () in
+      let b = front.open_conn () in
       let line kind id =
         J.obj
           [
@@ -775,7 +825,7 @@ let test_graceful_drain_under_load () =
       Alcotest.(check string) "in-flight solve 2 finished" "ok"
         (response_status r2);
       Alcotest.(check string) "shutdown acknowledged" "ok" (response_status r3);
-      Alcotest.(check bool) "stopping" true (Server.stopping server);
+      Alcotest.(check bool) "stopping" true (front.stopping ());
       (* Late request during the drain window: refused, structurally. *)
       Loadgen.Client.send_line b.client
         (solve_line ~extra:[ ("id", J.int 4) ] (random_instance 23));
@@ -794,7 +844,8 @@ let test_graceful_drain_under_load () =
       close_conn a;
       close_conn b;
       Alcotest.(check int) "both connections counted drained" 2
-        (stats_field server [ "connections"; "drained" ]))
+        (front.conn_stat "drained");
+      front.accounting ())
 
 (* Satellite: loadgen multi-connection mode (deterministic smoke; the
    full-scale version runs under `dune build @stress`). *)
@@ -837,6 +888,142 @@ let test_backlog_config () =
   match Server.bind_address ~backlog:5 (Server.Tcp ("127.0.0.1", 0)) with
   | Ok fd -> Server.close_address (Server.Tcp ("127.0.0.1", 0)) fd
   | Error msg -> Alcotest.failf "tcp bind with backlog failed: %s" msg
+
+(* ---- framing ---- *)
+
+module Framer = Frontend.Framer
+
+let with_pair f =
+  let ours, theirs = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
+        [ ours; theirs ])
+    (fun () -> f (Framer.create ours) theirs)
+
+(* A request split across two reads at every byte offset reassembles to
+   the same line — also when the first read carried a whole line ahead
+   of the fragment, so the fragment is moved by the next read's
+   compaction. A frame longer than the buffer grows it. *)
+let test_framer_split_every_offset () =
+  let line = solve_line (random_instance 5) in
+  let len = String.length line in
+  with_pair (fun framer peer ->
+      for k = 1 to len do
+        raw_send peer (line ^ "\n" ^ String.sub line 0 k);
+        Framer.fill framer;
+        Alcotest.(check (option string)) "whole line first" (Some line)
+          (Framer.next_line framer);
+        Alcotest.(check (option string))
+          (Printf.sprintf "offset %d: no line before the newline" k)
+          None (Framer.next_line framer);
+        raw_send peer (String.sub line k (len - k) ^ "\n");
+        Alcotest.(check (option string))
+          (Printf.sprintf "offset %d: reassembled" k)
+          (Some line)
+          (Framer.recv_line ~eof:Framer.Keep_tail framer)
+      done;
+      let long = String.init 200_000 (fun i -> Char.chr (97 + (i mod 26))) in
+      let writer = Thread.create (raw_send peer) (long ^ "\n") in
+      Alcotest.(check (option string)) "200 kB frame" (Some long)
+        (Framer.recv_line ~eof:Framer.Keep_tail framer);
+      Thread.join writer)
+
+(* The two EOF meanings: a request-side (or client-side) unterminated
+   tail is a line; on the balancer-to-shard RPC side it is a truncated
+   reply and reads as no response. *)
+let test_framer_eof_meanings () =
+  let check eof expected =
+    with_pair (fun framer peer ->
+        raw_send peer "done\npartial";
+        Unix.shutdown peer Unix.SHUTDOWN_SEND;
+        Alcotest.(check (list (option string)))
+          "lines until EOF" expected
+          (List.init 3 (fun _ -> Framer.recv_line ~eof framer)))
+  in
+  check Framer.Keep_tail [ Some "done"; Some "partial"; None ];
+  check Framer.Drop_tail [ Some "done"; None; None ]
+
+let hello_line id =
+  J.obj
+    [ ("proto", J.str Protocol.version); ("id", J.int id); ("kind", J.str "hello") ]
+
+(* 2000 requests in one write are answered in order. *)
+let test_frontend_many_lines_one_write () =
+  with_server conn_config (fun server ->
+      let c = open_conn server in
+      let n = 2000 in
+      let batch =
+        String.concat "" (List.init n (fun i -> hello_line i ^ "\n"))
+      in
+      (* The responses outgrow the socket buffers before the requests
+         are all written, so the write runs beside the reads. *)
+      let writer = Thread.create (fun () -> raw_send c.client_fd batch) () in
+      for i = 0 to n - 1 do
+        match Loadgen.Client.recv_line c.client with
+        | Some r when Helpers.contains ~needle:(Printf.sprintf {|"id":%d,|} i) r
+          ->
+          ()
+        | Some r -> Alcotest.failf "response %d out of order: %s" i r
+        | None -> Alcotest.failf "EOF after %d responses" i
+      done;
+      Thread.join writer;
+      close_conn c)
+
+(* Frame bound and blank lines: a line of exactly max_line_bytes is a
+   request (here a malformed one) and the connection lives on; one byte
+   more poisons it. Blank lines get no response at all. *)
+let test_frontend_frame_bound_and_blanks () =
+  let limit = 256 in
+  with_server
+    { conn_config with conn = { conn_config.conn with max_line_bytes = limit } }
+    (fun server ->
+      let c = open_conn server in
+      raw_send c.client_fd ("\n  \n" ^ hello_line 1 ^ "\n\n\t\n" ^ hello_line 2 ^ "\n");
+      List.iter
+        (fun id ->
+          match Loadgen.Client.recv_line c.client with
+          | Some r ->
+            Alcotest.(check bool)
+              (Printf.sprintf "blank lines skipped, hello %d next" id)
+              true
+              (Helpers.contains ~needle:(Printf.sprintf {|"id":%d,|} id) r)
+          | None -> Alcotest.fail "EOF among blank lines")
+        [ 1; 2 ];
+      raw_send c.client_fd (String.make limit 'x' ^ "\n");
+      (match Loadgen.Client.recv_line c.client with
+      | Some r ->
+        Alcotest.(check bool) "exactly the limit is parsed as a request" true
+          (Helpers.contains ~needle:{|"req":"unknown"|} r)
+      | None -> Alcotest.fail "frame at the limit dropped");
+      Alcotest.(check bool) "connection alive at the limit" true
+        (Helpers.contains ~needle:{|"id":3,|}
+           (Loadgen.Client.rpc c.client (hello_line 3)));
+      raw_send c.client_fd (String.make (limit + 1) 'x' ^ "\n");
+      (match Loadgen.Client.recv_line c.client with
+      | Some r ->
+        Alcotest.(check bool) "one byte over is oversized" true
+          (Helpers.contains ~needle:{|"req":"connection"|} r
+          && Helpers.contains ~needle:(string_of_int limit) r)
+      | None -> Alcotest.fail "oversized frame dropped");
+      Alcotest.(check (option string)) "then closed" None
+        (Loadgen.Client.recv_line c.client);
+      close_conn c)
+
+(* Connection churn (see churn.ml): 500 connections opened, used and
+   closed in sequence; @stress runs 20k. *)
+let test_churn which () =
+  with_front which Fun.id (fun front ->
+      try
+        Churn.run ~n:500
+          {
+            Churn.serve = front.serve;
+            connections =
+              (fun () -> (front.conn_stat "live", front.conn_stat "accepted"));
+            drain_grace_s = front.drain_grace_s;
+          }
+      with Failure msg -> Alcotest.fail msg)
 
 (* ---- address parsing ---- *)
 
@@ -1036,13 +1223,13 @@ let suite =
     Alcotest.test_case "conns: per-kind latency histograms" `Quick
       test_latency_histogram_per_kind;
     Alcotest.test_case "conns: slow-loris evicted, sibling unharmed" `Quick
-      test_adversarial_slow_loris;
+      (test_adversarial_slow_loris `Server);
     Alcotest.test_case "conns: adversarial frames die alone" `Quick
-      test_adversarial_battery;
+      (test_adversarial_battery `Server);
     Alcotest.test_case "conns: refusal beyond max-conns" `Quick
-      test_connection_refusal_beyond_max_conns;
+      (test_connection_refusal_beyond_max_conns `Server);
     Alcotest.test_case "conns: graceful drain under load" `Quick
-      test_graceful_drain_under_load;
+      (test_graceful_drain_under_load `Server);
     Alcotest.test_case "loadgen: multi-connection smoke" `Quick
       test_loadgen_multi_conn;
     Alcotest.test_case "config: backlog reaches listen(2)" `Quick
@@ -1058,4 +1245,25 @@ let suite =
       `Quick test_warm_roundtrip_byte_identity;
     Alcotest.test_case "warm: malformed files rejected with cause" `Quick
       test_warm_bad_files;
+    Alcotest.test_case "conns (balancer): slow-loris evicted, sibling unharmed"
+      `Quick
+      (test_adversarial_slow_loris `Balancer);
+    Alcotest.test_case "conns (balancer): adversarial frames die alone" `Quick
+      (test_adversarial_battery `Balancer);
+    Alcotest.test_case "conns (balancer): refusal beyond max-conns" `Quick
+      (test_connection_refusal_beyond_max_conns `Balancer);
+    Alcotest.test_case "conns (balancer): graceful drain under load" `Quick
+      (test_graceful_drain_under_load `Balancer);
+    Alcotest.test_case "framing: split at every byte offset" `Quick
+      test_framer_split_every_offset;
+    Alcotest.test_case "framing: the two EOF meanings" `Quick
+      test_framer_eof_meanings;
+    Alcotest.test_case "framing: 2000 lines in one write, in order" `Quick
+      test_frontend_many_lines_one_write;
+    Alcotest.test_case "framing: frame bound and blank lines" `Quick
+      test_frontend_frame_bound_and_blanks;
+    Alcotest.test_case "churn: 500 connections through Server.serve" `Quick
+      (test_churn `Server);
+    Alcotest.test_case "churn: 500 connections through Balancer.serve" `Quick
+      (test_churn `Balancer);
   ]
