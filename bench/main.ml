@@ -34,7 +34,7 @@ let exp_f1 () =
   banner "f1" "scheduling hypergraph of Figure 1"
     "6 edges e1..e6 grouped into components C1..C3 (left to right)";
   let schedule =
-    Policy.run Crs_algorithms.Heuristics.smallest_requirement_first A.figure1
+    Policy.run Crs_kernels.Heuristics.smallest_requirement_first A.figure1
   in
   let trace = Execution.run_exn A.figure1 schedule in
   let g = Crs_hypergraph.Sched_graph.of_trace trace in
@@ -77,7 +77,7 @@ let exp_f3 () =
     List.map
       (fun n ->
         let instance = A.round_robin_family ~n in
-        let rr = Crs_algorithms.Round_robin.makespan instance in
+        let rr = Crs_kernels.Round_robin.makespan instance in
         let witness =
           Execution.makespan
             (Execution.run_exn instance (A.round_robin_family_opt_schedule ~n))
@@ -133,7 +133,7 @@ let exp_f4 () =
   let add p =
     let truth = Crs_reduction.Partition.is_yes p in
     let opt =
-      Crs_algorithms.Opt_config.makespan (Crs_reduction.Reduce.to_crsharing p)
+      Crs_kernels.Opt_config.makespan (Crs_reduction.Reduce.to_crsharing p)
     in
     rows :=
       [
@@ -199,8 +199,8 @@ let exp_t5 () =
   for _ = 1 to trials do
     let instance = Helpers_bench.random_two_proc st 3 in
     if
-      Crs_algorithms.Opt_two.makespan instance
-      = Crs_algorithms.Brute_force.makespan instance
+      Crs_kernels.Opt_two.makespan instance
+      = Crs_kernels.Brute_force.makespan instance
     then incr agree
   done;
   Printf.printf "agreement with brute force: %d/%d\n\n" !agree trials;
@@ -209,13 +209,13 @@ let exp_t5 () =
       (fun n ->
         let instance = Helpers_bench.random_two_proc ~n st 0 in
         let t0 = Unix.gettimeofday () in
-        let ms = Crs_algorithms.Opt_two.makespan instance in
+        let ms = Crs_kernels.Opt_two.makespan instance in
         let dt_arr = Unix.gettimeofday () -. t0 in
         let t0 = Unix.gettimeofday () in
-        let pq = Crs_algorithms.Opt_two_pq.run instance in
+        let pq = Crs_kernels.Opt_two_pq.run instance in
         let dt_pq = Unix.gettimeofday () -. t0 in
-        assert (ms = pq.Crs_algorithms.Opt_two_pq.makespan);
-        let expanded = pq.Crs_algorithms.Opt_two_pq.expanded in
+        assert (ms = pq.Crs_kernels.Opt_two_pq.makespan);
+        let expanded = pq.Crs_kernels.Opt_two_pq.expanded in
         [
           string_of_int n;
           string_of_int ms;
@@ -237,9 +237,9 @@ let exp_t5 () =
   List.iter
     (fun n ->
       let instance = Helpers_bench.random_two_proc ~n st 0 in
-      let lex = Crs_algorithms.Opt_two.makespan instance in
-      let pareto = Crs_algorithms.Opt_two_pareto.makespan instance in
-      let mx, mean = Crs_algorithms.Opt_two_pareto.frontier_sizes instance in
+      let lex = Crs_kernels.Opt_two.makespan instance in
+      let pareto = Crs_kernels.Opt_two_pareto.makespan instance in
+      let mx, mean = Crs_kernels.Opt_two_pareto.frontier_sizes instance in
       Printf.printf
         "  n=%-4d lex OPT %d = pareto OPT %d | frontier max %d, mean %.2f\n" n lex
         pareto mx mean;
@@ -260,22 +260,22 @@ let exp_t6 () =
             let instance =
               Crs_generators.Random_gen.equal_rows ~m ~n ~granularity:10 st
             in
-            let sol = Crs_algorithms.Opt_config.solve instance in
-            let sol_np = Crs_algorithms.Opt_config.solve ~prune:false instance in
-            assert (sol.Crs_algorithms.Opt_config.makespan = sol_np.Crs_algorithms.Opt_config.makespan);
-            let stats = sol.Crs_algorithms.Opt_config.stats in
-            let stats_np = sol_np.Crs_algorithms.Opt_config.stats in
-            let max_layer = List.fold_left max 0 stats.Crs_algorithms.Opt_config.layers in
+            let sol = Crs_kernels.Opt_config.solve instance in
+            let sol_np = Crs_kernels.Opt_config.solve ~prune:false instance in
+            assert (sol.Crs_kernels.Opt_config.makespan = sol_np.Crs_kernels.Opt_config.makespan);
+            let stats = sol.Crs_kernels.Opt_config.stats in
+            let stats_np = sol_np.Crs_kernels.Opt_config.stats in
+            let max_layer = List.fold_left max 0 stats.Crs_kernels.Opt_config.layers in
             let max_layer_np =
-              List.fold_left max 0 stats_np.Crs_algorithms.Opt_config.layers
+              List.fold_left max 0 stats_np.Crs_kernels.Opt_config.layers
             in
             [
               string_of_int m;
               string_of_int n;
-              string_of_int sol.Crs_algorithms.Opt_config.makespan;
-              string_of_int stats.Crs_algorithms.Opt_config.generated;
+              string_of_int sol.Crs_kernels.Opt_config.makespan;
+              string_of_int stats.Crs_kernels.Opt_config.generated;
               string_of_int max_layer;
-              string_of_int stats_np.Crs_algorithms.Opt_config.generated;
+              string_of_int stats_np.Crs_kernels.Opt_config.generated;
               string_of_int max_layer_np;
             ])
           [ 2; 3; 4 ])
@@ -305,10 +305,10 @@ let exp_t7 () =
                 { Crs_generators.Random_gen.default_spec with m; jobs_min = 1; jobs_max = 3 }
               st
           in
-          let gb = Crs_algorithms.Greedy_balance.makespan instance in
+          let gb = Crs_kernels.Greedy_balance.makespan instance in
           let opt =
-            if m = 2 then Crs_algorithms.Opt_two.makespan instance
-            else Crs_algorithms.Brute_force.makespan instance
+            if m = 2 then Crs_kernels.Opt_two.makespan instance
+            else Crs_kernels.Brute_force.makespan instance
           in
           let r = float_of_int gb /. float_of_int opt in
           if r > !worst then worst := r;
@@ -341,9 +341,9 @@ let exp_l56 () =
         ~spec:{ Crs_generators.Random_gen.default_spec with m = 3; jobs_max = 3 }
         st
     in
-    let opt = Crs_algorithms.Brute_force.makespan instance in
+    let opt = Crs_kernels.Brute_force.makespan instance in
     let trace =
-      Execution.run_exn instance (Crs_algorithms.Greedy_balance.schedule instance)
+      Execution.run_exn instance (Crs_kernels.Greedy_balance.schedule instance)
     in
     let g = Crs_hypergraph.Sched_graph.of_trace trace in
     let l5 = Crs_hypergraph.Bounds.lemma5 g in
@@ -403,7 +403,7 @@ let exp_ext () =
       Q.to_float
         (Crs_extension.General.ratio_vs_lower_bound
            (fun i ->
-             Execution.makespan (Execution.run_exn i (Crs_algorithms.Round_robin.schedule i)))
+             Execution.makespan (Execution.run_exn i (Crs_kernels.Round_robin.schedule i)))
            instance)
     in
     if r > !worst_rr then worst_rr := r
@@ -492,7 +492,7 @@ let exp_bp () =
         ~spec:{ Crs_generators.Random_gen.default_spec with m = 3; jobs_max = 3 }
         st
     in
-    let opt = Crs_algorithms.Brute_force.makespan instance in
+    let opt = Crs_kernels.Brute_force.makespan instance in
     if S.crsharing_relaxation_bound instance = opt then incr tight
   done;
   Printf.printf
@@ -569,7 +569,7 @@ let exp_fa () =
     in
     let lb, _ub, fixed =
       Crs_extension.Free_assignment.price_of_fixed_assignment
-        ~exact:Crs_algorithms.Brute_force.makespan instance
+        ~exact:Crs_kernels.Brute_force.makespan instance
     in
     let gap = fixed - lb in
     if gap = 0 then incr zero_gap;
@@ -589,7 +589,7 @@ let exp_fa () =
       let instance = A.greedy_balance_family ~m ~blocks () in
       let lb = Crs_extension.Free_assignment.lower_bound instance in
       let ub = Crs_extension.Free_assignment.upper_bound instance in
-      let gb = Crs_algorithms.Greedy_balance.makespan instance in
+      let gb = Crs_kernels.Greedy_balance.makespan instance in
       Printf.printf
         "Theorem-8 family m=%d blocks=%d: free in [%d, %d], fixed GreedyBalance %d\n" m
         blocks lb ub gb)
@@ -650,7 +650,7 @@ let exp_ablation () =
   let st = Random.State.make [| 808 |] in
   let variants : (string * Policy.t) list =
     [
-      ("paper (larger remaining first)", Crs_algorithms.Greedy_balance.policy);
+      ("paper (larger remaining first)", Crs_kernels.Greedy_balance.policy);
       ( "smaller remaining first",
         Policy.greedy_fill ~by:(fun s a b ->
             let ja = Policy.jobs_remaining s a and jb = Policy.jobs_remaining s b in
@@ -672,14 +672,14 @@ let exp_ablation () =
           ~spec:{ Crs_generators.Random_gen.default_spec with m = 3; jobs_max = 3 }
           st)
   in
-  let opts = List.map Crs_algorithms.Brute_force.makespan instances in
+  let opts = List.map Crs_kernels.Brute_force.makespan instances in
   let rows =
     List.map
       (fun (name, policy) ->
         let worst = ref 1.0 and sum = ref 0.0 in
         List.iter2
           (fun instance opt ->
-            let ms = Crs_algorithms.Heuristics.makespan_of policy instance in
+            let ms = Crs_kernels.Heuristics.makespan_of policy instance in
             let r = float_of_int ms /. float_of_int opt in
             if r > !worst then worst := r;
             sum := !sum +. r)
@@ -699,7 +699,7 @@ let exp_ablation () =
   List.iter
     (fun (name, policy) ->
       Printf.printf "Theorem-8 family m=3 blocks=6: %-32s -> %d steps\n" name
-        (Crs_algorithms.Heuristics.makespan_of policy fam))
+        (Crs_kernels.Heuristics.makespan_of policy fam))
     variants
 
 (* ---------- campaign: parallel batch-evaluation subsystem ---------- *)
@@ -1494,14 +1494,14 @@ let exp_registry ?(mode = `Run) () =
         (* Both sides do the full solve including witness replay, so the
            measured gap is exactly the registry layer: the find +
            capability check + counters/fuel bookkeeping. *)
-        ignore (Crs_algorithms.Opt_two.solve instance) (* warm-up *);
+        ignore (Crs_kernels.Opt_two.solve instance) (* warm-up *);
         let direct =
           time_min ~reps (fun () ->
-              (Crs_algorithms.Opt_two.solve instance).Crs_algorithms.Opt_two.makespan)
+              (Crs_kernels.Opt_two.solve instance).Crs_kernels.Opt_two.makespan)
         in
         let via = time_min ~reps (fun () -> (R.solve solver instance).R.makespan) in
         assert (
-          (Crs_algorithms.Opt_two.solve instance).Crs_algorithms.Opt_two.makespan
+          (Crs_kernels.Opt_two.solve instance).Crs_kernels.Opt_two.makespan
           = (R.solve solver instance).R.makespan);
         total_direct := !total_direct +. direct;
         total_via := !total_via +. via;
@@ -1662,15 +1662,15 @@ let num_measure () =
   in
   let opt_two_n = 1200 in
   let fig3_big = A.round_robin_family ~n:opt_two_n in
-  ignore (Crs_algorithms.Opt_two.makespan fig3_big) (* warm-up *);
+  ignore (Crs_kernels.Opt_two.makespan fig3_big) (* warm-up *);
   let opt_two_s =
-    time_min ~reps:3 (fun () -> Crs_algorithms.Opt_two.makespan fig3_big)
+    time_min ~reps:3 (fun () -> Crs_kernels.Opt_two.makespan fig3_big)
   in
   let brute_n = 800 in
   let fig3_small = A.round_robin_family ~n:brute_n in
   let brute_s =
     time_min ~reps:3 (fun () ->
-        Crs_algorithms.Brute_force.makespan ~node_limit:20_000_000 fig3_small)
+        Crs_kernels.Brute_force.makespan ~node_limit:20_000_000 fig3_small)
   in
   (ops, opt_two_n, opt_two_s, brute_n, brute_s)
 
@@ -1752,159 +1752,7 @@ let exp_num ?(mode = `Run) () =
       assert (Crs_num.Check.ok outcome);
       assert gate_met)
 
-(* ---------- obs: tracing-overhead gate ---------- *)
-
-(* The gate compares Crs_algorithms.Opt_two (profiling hooks compiled
-   in, tracing/metrics disabled) against Opt_two_unhooked, a frozen
-   pre-instrumentation snapshot of the same DP vendored into this
-   binary. Both run in the SAME process with rep-interleaved timing, so
-   machine-speed drift — which moves wall AND CPU-time minima several
-   percent between processes on shared hardware, far above the 2% bound
-   being checked — hits both sides identically and cancels out of the
-   ratio. Per-rep CPU time keeps scheduler noise out of the minima. *)
-let obs_measure ?(opt_two_n = 1200) ?(reps = 30) ?(warmups = 8) () =
-  let cpu_s f =
-    (* Start every timed call from the same GC state: otherwise the
-       major slices owed by the PREVIOUS call land inside this one and
-       per-rep times swing by several percent. *)
-    Gc.full_major ();
-    let t0 = Crs_obs.Clock.cputime_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    Int64.to_float (Int64.sub (Crs_obs.Clock.cputime_ns ()) t0) /. 1e9
-  in
-  let fig3 = A.round_robin_family ~n:opt_two_n in
-  let hooked () = Crs_algorithms.Opt_two.makespan fig3 in
-  let unhooked () = Opt_two_unhooked.makespan fig3 in
-  Crs_obs.Trace.set_enabled false;
-  Crs_obs.Metrics.set_enabled false;
-  (* Throwaway pass first: the first dozen solves in a process run
-     10-15% slower while the heap sizes itself, so every retained rep
-     sits in the stable late-process position. *)
-  for _ = 1 to warmups do
-    ignore (cpu_s hooked);
-    ignore (cpu_s unhooked)
-  done;
-  (* Paired reps: each rep times both variants back-to-back (order
-     alternating, so GC pacing and slow phases hit both positions
-     equally) and contributes one hooked/unhooked ratio. The gate uses
-     the MEDIAN ratio — a slow co-tenant phase or major-GC slice skews
-     individual reps but moves paired ratios only when it lands between
-     the two halves of a pair, and the median discards those reps. *)
-  let ratios = Array.make reps 0.0 in
-  let baseline_s = ref infinity and disabled_s = ref infinity in
-  Gc.compact ();
-  for i = 0 to reps - 1 do
-    let b, d =
-      if i land 1 = 0 then
-        let b = cpu_s unhooked in
-        (b, cpu_s hooked)
-      else
-        let d = cpu_s hooked in
-        (cpu_s unhooked, d)
-    in
-    if b < !baseline_s then baseline_s := b;
-    if d < !disabled_s then disabled_s := d;
-    ratios.(i) <- d /. Float.max b 1e-9
-  done;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
-  in
-  let disabled_ratio = median ratios in
-  Crs_obs.Trace.set_enabled true;
-  Crs_obs.Metrics.set_enabled true;
-  let enabled_s = ref infinity in
-  let eratios = Array.make reps 0.0 in
-  for i = 0 to reps - 1 do
-    Crs_obs.Trace.reset ();
-    let b, e =
-      if i land 1 = 0 then begin
-        Crs_obs.Trace.set_enabled false;
-        let b = cpu_s unhooked in
-        Crs_obs.Trace.set_enabled true;
-        (b, cpu_s hooked)
-      end
-      else
-        let e = cpu_s hooked in
-        Crs_obs.Trace.set_enabled false;
-        let b = cpu_s unhooked in
-        Crs_obs.Trace.set_enabled true;
-        (b, e)
-    in
-    if e < !enabled_s then enabled_s := e;
-    eratios.(i) <- e /. Float.max b 1e-9
-  done;
-  let enabled_ratio = median eratios in
-  Crs_obs.Trace.reset ();
-  ignore (cpu_s hooked);
-  let spans = List.length (Crs_obs.Trace.spans ()) in
-  Crs_obs.Trace.set_enabled false;
-  Crs_obs.Metrics.set_enabled false;
-  Crs_obs.Trace.reset ();
-  ( opt_two_n,
-    !baseline_s,
-    !disabled_s,
-    disabled_ratio,
-    !enabled_s,
-    enabled_ratio,
-    spans )
-
-let exp_obs ?(mode = `Run) () =
-  banner "obs" "observability layer (span tracer + metrics registry)"
-    "gate: <= 2% overhead on Opt_two/Figure-3 with tracing disabled, vs the \
-     vendored pre-instrumentation copy of the DP (bench/opt_two_unhooked.ml)";
-  let ( opt_two_n,
-        baseline_s,
-        disabled_s,
-        disabled_ratio,
-        enabled_s,
-        enabled_ratio,
-        spans ) =
-    match mode with
-    (* n = 2400 keeps the timed region at the ~0.15s scale the 2%
-       budget was calibrated against: the flat-state kernel rewrite
-       made n = 1200 a ~40ms region, where run-to-run jitter alone is
-       a couple of percent. *)
-    | `Run -> obs_measure ~opt_two_n:2400 ()
-    | `Smoke ->
-      (* Smoke: the machinery end to end at a size where timings carry
-         no signal — no file written, no gate judged. *)
-      obs_measure ~opt_two_n:80 ~reps:4 ~warmups:1 ()
-  in
-  let overhead = disabled_ratio -. 1.0 in
-  let enabled_overhead = enabled_ratio -. 1.0 in
-  let gate = 0.02 in
-  let gate_met = overhead <= gate in
-  Printf.printf
-    "opt_two fig3 n=%d: unhooked %.3fs, disabled %.3fs, enabled %.3fs (%d \
-     spans/solve)\n"
-    opt_two_n baseline_s disabled_s enabled_s spans;
-  match mode with
-  | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
-  | `Run ->
-    let json =
-      Printf.sprintf
-        "{\"opt_two_n\":%d,\"baseline_s\":%.6f,\"disabled_s\":%.6f,\
-         \"disabled_overhead\":%.4f,\"enabled_s\":%.6f,\
-         \"enabled_overhead\":%.4f,\"spans_per_solve\":%d,\"gate\":%.2f,\
-         \"gate_met\":%b}\n"
-        opt_two_n baseline_s disabled_s overhead enabled_s enabled_overhead spans
-        gate gate_met
-    in
-    Out_channel.with_open_text "BENCH_obs.json" (fun oc ->
-        Out_channel.output_string oc json);
-    Printf.printf
-      "disabled overhead vs unhooked baseline: %+.2f%% (gate <= %.0f%%: %s); \
-       enabled: %+.2f%%\n"
-      (overhead *. 100.) (gate *. 100.)
-      (if gate_met then "met" else "NOT MET")
-      (enabled_overhead *. 100.);
-    Printf.printf "wrote BENCH_obs.json\n";
-    assert gate_met
-
-(* ---------- dp: flat-state DP kernels vs frozen boxed baselines ---------- *)
+(* ---------- obs: instrumentation-overhead gate ---------- *)
 
 (* CPU model and logical CPU count, recorded next to the timings. *)
 let host () =
@@ -1927,6 +1775,155 @@ let host () =
   ( Option.value model ~default:"unknown",
     Domain.recommended_domain_count () )
 
+(* The kernels in crs_kernels cannot link crs_obs, so the only hooks a
+   solve passes are Registry.solve's root span and counters. The gate
+   times that boundary against the kernel it wraps: Opt_two.solve
+   called directly (baseline) vs Registry.solve on opt-two (measured),
+   first with tracing and metrics disabled, then enabled. Both run in
+   the SAME process with rep-interleaved timing, so machine-speed drift
+   — which moves wall AND CPU-time minima several percent between
+   processes on shared hardware, far above the 2% bound being checked —
+   hits both sides identically and cancels out of the ratio. Per-rep
+   CPU time keeps scheduler noise out of the minima. *)
+let obs_measure ~opt_two_n ~reps ~warmups =
+  let cpu_s f =
+    (* Start every timed call from the same GC state: otherwise the
+       major slices owed by the PREVIOUS call land inside this one and
+       per-rep times swing by several percent. *)
+    Gc.full_major ();
+    let t0 = Crs_obs.Clock.cputime_ns () in
+    ignore (Sys.opaque_identity (f ()));
+    Int64.to_float (Int64.sub (Crs_obs.Clock.cputime_ns ()) t0) /. 1e9
+  in
+  let fig3 = A.round_robin_family ~n:opt_two_n in
+  let opt_two = R.find_exn R.Names.opt_two in
+  let kernel () = Crs_kernels.Opt_two.solve fig3 in
+  let registry () = R.solve opt_two fig3 in
+  let set_obs on =
+    Crs_obs.Trace.set_enabled on;
+    Crs_obs.Metrics.set_enabled on
+  in
+  set_obs false;
+  (* Throwaway pass first: the first dozen solves in a process run
+     10-15% slower while the heap sizes itself, so every retained rep
+     sits in the stable late-process position. *)
+  for _ = 1 to warmups do
+    ignore (cpu_s kernel);
+    ignore (cpu_s registry)
+  done;
+  Gc.compact ();
+  (* Paired reps: each rep times both sides back-to-back (order
+     alternating, so GC pacing and slow phases hit both positions
+     equally) and contributes one registry/kernel ratio. The gate uses
+     the MEDIAN ratio — a slow co-tenant phase or major-GC slice skews
+     individual reps but moves paired ratios only when it lands between
+     the two halves of a pair, and the median discards those reps. The
+     interquartile range of the ratios states the noise. *)
+  let paired () =
+    let ratios = Array.make reps 0.0 in
+    let kernel_s = ref infinity and registry_s = ref infinity in
+    for i = 0 to reps - 1 do
+      let k, r =
+        if i land 1 = 0 then
+          let k = cpu_s kernel in
+          (k, cpu_s registry)
+        else
+          let r = cpu_s registry in
+          (cpu_s kernel, r)
+      in
+      kernel_s := Float.min !kernel_s k;
+      registry_s := Float.min !registry_s r;
+      ratios.(i) <- r /. Float.max k 1e-9
+    done;
+    Array.sort compare ratios;
+    (* Linear interpolation between closest ranks. *)
+    let quantile q =
+      let x = q *. float_of_int (reps - 1) in
+      let i = int_of_float x in
+      let j = min (i + 1) (reps - 1) in
+      ratios.(i) +. ((x -. float_of_int i) *. (ratios.(j) -. ratios.(i)))
+    in
+    (!kernel_s, !registry_s, quantile 0.5, quantile 0.75 -. quantile 0.25)
+  in
+  let baseline_s, disabled_s, disabled_ratio, disabled_iqr = paired () in
+  set_obs true;
+  let _, enabled_s, enabled_ratio, enabled_iqr = paired () in
+  Crs_obs.Trace.reset ();
+  ignore (registry ());
+  let spans = List.length (Crs_obs.Trace.spans ()) in
+  set_obs false;
+  Crs_obs.Trace.reset ();
+  Crs_obs.Metrics.reset ();
+  ( baseline_s,
+    (disabled_s, disabled_ratio -. 1.0, disabled_iqr),
+    (enabled_s, enabled_ratio -. 1.0, enabled_iqr),
+    spans )
+
+let exp_obs ?(mode = `Run) () =
+  banner "obs" "observability layer (span tracer + metrics registry)"
+    "gate: <= 2% overhead of Registry.solve with tracing and metrics \
+     disabled on opt-two/Figure-3, vs the hook-free Crs_kernels.Opt_two.solve \
+     called directly";
+  let opt_two_n, reps, warmups =
+    match mode with
+    (* n = 2400 keeps each timed solve at a few tenths of a second,
+       the scale the 2% budget was calibrated against: at n = 1200 the
+       region is ~40ms, where run-to-run jitter alone is a couple of
+       percent. *)
+    | `Run -> (2400, 30, 8)
+    (* Smoke: the machinery end to end at a size where timings carry
+       no signal — no file written, no gate judged. *)
+    | `Smoke -> (80, 4, 1)
+  in
+  let ( baseline_s,
+        (disabled_s, overhead, disabled_iqr),
+        (enabled_s, enabled_overhead, enabled_iqr),
+        spans ) =
+    obs_measure ~opt_two_n ~reps ~warmups
+  in
+  let gate = 0.02 in
+  let gate_met = overhead <= gate in
+  Printf.printf
+    "opt_two fig3 n=%d: kernel %.3fs, registry disabled %.3fs, enabled %.3fs \
+     (%d spans/solve)\n"
+    opt_two_n baseline_s disabled_s enabled_s spans;
+  match mode with
+  | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
+  | `Run ->
+    let cpu_model, nproc = host () in
+    let json =
+      Crs_util.Stable_json.(
+        obj
+          [
+            ("opt_two_n", int opt_two_n);
+            ("reps", int reps);
+            ("baseline_s", float baseline_s);
+            ("disabled_s", float disabled_s);
+            ("disabled_overhead", float overhead);
+            ("disabled_ratio_iqr", float disabled_iqr);
+            ("enabled_s", float enabled_s);
+            ("enabled_overhead", float enabled_overhead);
+            ("enabled_ratio_iqr", float enabled_iqr);
+            ("spans_per_solve", int spans);
+            ("gate", float gate);
+            ("gate_met", bool gate_met);
+            ("nproc", int nproc);
+            ("cpu_model", str cpu_model);
+          ])
+    in
+    Out_channel.with_open_text "BENCH_obs.json" (fun oc ->
+        Out_channel.output_string oc (json ^ "\n"));
+    Printf.printf
+      "disabled overhead vs direct kernel call: %+.2f%% (IQR of ratios %.2f \
+       points; gate <= %.0f%%: %s); enabled: %+.2f%% (IQR %.2f points)\n"
+      (overhead *. 100.) (disabled_iqr *. 100.) (gate *. 100.)
+      (if gate_met then "met" else "NOT MET")
+      (enabled_overhead *. 100.) (enabled_iqr *. 100.);
+    Printf.printf "wrote BENCH_obs.json\n";
+    assert gate_met
+
+(* ---------- dp: flat-state DP kernels vs frozen boxed baselines ---------- *)
+
 (* Allocation of one Opt_two solve in common-denominator mode, after
    warm-up (so the tableau comes from the pool): the fewest major words
    over [reps] solves, and minor words per expanded cell. Major words
@@ -1938,7 +1935,7 @@ let dp_alloc ~n ~reps =
       (Random.State.make [| 0x200; n |])
   in
   let cells =
-    (Crs_algorithms.Opt_two.solve inst).counters.Crs_algorithms.Opt_two.cells_expanded
+    (Crs_kernels.Opt_two.solve inst).counters.Crs_kernels.Opt_two.cells_expanded
   in
   let major () =
     let _, _, ma = Gc.counters () in
@@ -1947,7 +1944,7 @@ let dp_alloc ~n ~reps =
   let major_best = ref infinity and minor_total = ref 0.0 in
   for _ = 1 to reps do
     let ma0 = major () and mi0 = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Crs_algorithms.Opt_two.solve inst));
+    ignore (Sys.opaque_identity (Crs_kernels.Opt_two.solve inst));
     minor_total := !minor_total +. (Gc.minor_words () -. mi0);
     major_best := Float.min !major_best (major () -. ma0)
   done;
@@ -1973,25 +1970,25 @@ let exp_dp ?(mode = `Run) () =
      profile (survivor order is canonical in the flat kernel where the
      legacy one inherited hashtable iteration order, so the witness
      schedule may differ — both must certify). *)
-  let s_new = Crs_algorithms.Opt_two.solve fig3_two in
+  let s_new = Crs_kernels.Opt_two.solve fig3_two in
   let s_old = L2.solve fig3_two in
-  assert (s_new.Crs_algorithms.Opt_two.makespan = s_old.L2.makespan);
+  assert (s_new.Crs_kernels.Opt_two.makespan = s_old.L2.makespan);
   assert (Schedule.equal s_new.schedule s_old.schedule);
   assert (
-    s_new.counters.Crs_algorithms.Opt_two.cells_expanded
+    s_new.counters.Crs_kernels.Opt_two.cells_expanded
     = s_old.L2.counters.L2.cells_expanded);
   assert (
-    s_new.counters.Crs_algorithms.Opt_two.relaxations
+    s_new.counters.Crs_kernels.Opt_two.relaxations
     = s_old.L2.counters.L2.relaxations);
-  let c_new = Crs_algorithms.Opt_config.solve fig3_cfg in
+  let c_new = Crs_kernels.Opt_config.solve fig3_cfg in
   let c_old = LC.solve fig3_cfg in
-  assert (c_new.Crs_algorithms.Opt_config.makespan = c_old.LC.makespan);
+  assert (c_new.Crs_kernels.Opt_config.makespan = c_old.LC.makespan);
   assert (
-    c_new.stats.Crs_algorithms.Opt_config.generated = c_old.LC.stats.LC.generated);
-  assert (c_new.stats.Crs_algorithms.Opt_config.layers = c_old.LC.stats.LC.layers);
+    c_new.stats.Crs_kernels.Opt_config.generated = c_old.LC.stats.LC.generated);
+  assert (c_new.stats.Crs_kernels.Opt_config.layers = c_old.LC.stats.LC.layers);
   (match
      Crs_fuzz.Certify.check fig3_cfg c_new.schedule
-       ~claimed:c_new.Crs_algorithms.Opt_config.makespan
+       ~claimed:c_new.Crs_kernels.Opt_config.makespan
    with
   | Ok _ -> ()
   | Error msg -> failwith msg);
@@ -2004,10 +2001,10 @@ let exp_dp ?(mode = `Run) () =
     "parity: opt_two schedules byte-identical, counters (%d cells, %d \
      relaxations) equal; opt_config generated %d and %d layers equal, both \
      witnesses certified\n"
-    s_new.counters.Crs_algorithms.Opt_two.cells_expanded
-    s_new.counters.Crs_algorithms.Opt_two.relaxations
-    c_new.stats.Crs_algorithms.Opt_config.generated
-    (List.length c_new.stats.Crs_algorithms.Opt_config.layers);
+    s_new.counters.Crs_kernels.Opt_two.cells_expanded
+    s_new.counters.Crs_kernels.Opt_two.relaxations
+    c_new.stats.Crs_kernels.Opt_config.generated
+    (List.length c_new.stats.Crs_kernels.Opt_config.layers);
   (* Paired-reps methodology (same as BENCH_campaign/BENCH_obs): every
      timed region starts from a settled GC, each rep times flat and
      legacy back-to-back with the order alternating, and the gate uses
@@ -2052,7 +2049,7 @@ let exp_dp ?(mode = `Run) () =
   let two_flat, two_legacy, two_speedup =
     measure
       (Printf.sprintf "opt_two fig3 n=%d (full solve)" two_n)
-      (fun () -> Crs_algorithms.Opt_two.solve fig3_two)
+      (fun () -> Crs_kernels.Opt_two.solve fig3_two)
       (fun () -> L2.solve fig3_two)
   in
   let cfg_flat, cfg_legacy, cfg_speedup =
@@ -2060,9 +2057,9 @@ let exp_dp ?(mode = `Run) () =
       (Printf.sprintf "opt_config fig3 n=%d x%d (full solve)" cfg_n cfg_iters)
       (fun () ->
         for _ = 1 to cfg_iters - 1 do
-          ignore (Sys.opaque_identity (Crs_algorithms.Opt_config.solve fig3_cfg))
+          ignore (Sys.opaque_identity (Crs_kernels.Opt_config.solve fig3_cfg))
         done;
-        Crs_algorithms.Opt_config.solve fig3_cfg)
+        Crs_kernels.Opt_config.solve fig3_cfg)
       (fun () ->
         for _ = 1 to cfg_iters - 1 do
           ignore (Sys.opaque_identity (LC.solve fig3_cfg))
@@ -2100,9 +2097,9 @@ let exp_dp ?(mode = `Run) () =
          \"alloc_minor_words_per_cell\":%.4f,\"alloc_minor_bound\":%.1f,\
          \"alloc_gate_met\":%b,\"nproc\":%d,\"cpu_model\":%S}\n"
         two_n two_flat two_legacy two_speedup cfg_n cfg_iters cfg_flat cfg_legacy
-        cfg_speedup reps s_new.counters.Crs_algorithms.Opt_two.cells_expanded
-        s_new.counters.Crs_algorithms.Opt_two.relaxations
-        c_new.stats.Crs_algorithms.Opt_config.generated gate gate_met alloc_n
+        cfg_speedup reps s_new.counters.Crs_kernels.Opt_two.cells_expanded
+        s_new.counters.Crs_kernels.Opt_two.relaxations
+        c_new.stats.Crs_kernels.Opt_config.generated gate gate_met alloc_n
         alloc_cells major_words major_bound minor_per_cell minor_bound alloc_met
         nproc cpu_model
     in
@@ -2148,20 +2145,20 @@ let micro () =
     [
       (* T5: the O(n^2) DP and its PQ variant. *)
       Test.make ~name:"opt_two n=50" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_two.makespan inst50)));
+          ignore (Crs_kernels.Opt_two.makespan inst50)));
       Test.make ~name:"opt_two n=200" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_two.makespan inst200)));
+          ignore (Crs_kernels.Opt_two.makespan inst200)));
       Test.make ~name:"opt_two_pq n=200" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_two_pq.makespan inst200)));
+          ignore (Crs_kernels.Opt_two_pq.makespan inst200)));
       (* T6: configuration enumeration at fixed m. *)
       Test.make ~name:"opt_config m=3 n=3" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Opt_config.makespan inst_m3)));
+          ignore (Crs_kernels.Opt_config.makespan inst_m3)));
       (* T7/T8: the linear-time approximation on a large family instance. *)
       Test.make ~name:"greedy_balance m=4 100 jobs/proc" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Greedy_balance.makespan big_family)));
+          ignore (Crs_kernels.Greedy_balance.makespan big_family)));
       (* T3: round robin on the Figure 3 family. *)
       Test.make ~name:"round_robin n=200" (Staged.stage (fun () ->
-          ignore (Crs_algorithms.Round_robin.makespan rr_family)));
+          ignore (Crs_kernels.Round_robin.makespan rr_family)));
       (* Substrate: exact arithmetic throughput (harmonic sums grow the
          denominators into genuine multi-limb territory). *)
       Test.make ~name:"rational sum 1/1..1/500" (Staged.stage (fun () ->

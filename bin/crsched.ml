@@ -674,7 +674,7 @@ let reduce_cmd =
        print_string (Instance.to_string instance);
        if decide then begin
          let answer =
-           Crs_reduction.Reduce.decide ~exact:Crs_algorithms.Opt_config.makespan p
+           Crs_reduction.Reduce.decide ~exact:Crs_kernels.Opt_config.makespan p
          in
          Printf.printf "partition: %s (optimal makespan %d iff YES)\n"
            (if answer then "YES" else "NO")
@@ -733,7 +733,7 @@ let bounds_cmd =
   let run path =
     let instance = read_instance path in
     let gb_trace =
-      Execution.run_exn instance (Crs_algorithms.Greedy_balance.schedule instance)
+      Execution.run_exn instance (Crs_kernels.Greedy_balance.schedule instance)
     in
     let graph = Crs_hypergraph.Sched_graph.of_trace gb_trace in
     let rows =
@@ -812,11 +812,11 @@ let gallery_cmd =
     in
     let module A = Crs_generators.Adversarial in
     emit "figure1-greedy" A.figure1
-      (Policy.run Crs_algorithms.Heuristics.smallest_requirement_first A.figure1);
+      (Policy.run Crs_kernels.Heuristics.smallest_requirement_first A.figure1);
     emit "figure2-nested" A.figure2 A.figure2_nested_schedule;
     emit "figure2-unnested" A.figure2 A.figure2_unnested_schedule;
     let rr = A.round_robin_family ~n:10 in
-    emit "figure3-roundrobin" rr (Crs_algorithms.Round_robin.schedule rr);
+    emit "figure3-roundrobin" rr (Crs_kernels.Round_robin.schedule rr);
     emit "figure3-optimal" rr (A.round_robin_family_opt_schedule ~n:10);
     let p = Crs_reduction.Partition.make [| 1; 2; 3 |] in
     let gadget = Crs_reduction.Reduce.to_crsharing p in
@@ -825,9 +825,9 @@ let gallery_cmd =
       emit "figure4-yes-witness" gadget (Crs_reduction.Reduce.yes_witness_schedule p cert)
     | None -> ());
     let fam = A.greedy_balance_family ~m:3 ~blocks:3 () in
-    emit "figure5-greedybalance" fam (Crs_algorithms.Greedy_balance.schedule fam);
+    emit "figure5-greedybalance" fam (Crs_kernels.Greedy_balance.schedule fam);
     emit "figure5-staircase" fam
-      (Policy.run Crs_algorithms.Heuristics.staircase fam);
+      (Policy.run Crs_kernels.Heuristics.staircase fam);
     Printf.printf "artifacts written to %s/\n" dir
   in
   Cmd.v

@@ -12,7 +12,7 @@ let () =
   section "Figure 1 — scheduling hypergraph";
   let trace =
     Execution.run_exn A.figure1
-      (Policy.run Crs_algorithms.Heuristics.smallest_requirement_first A.figure1)
+      (Policy.run Crs_kernels.Heuristics.smallest_requirement_first A.figure1)
   in
   print_string (Crs_render.Gantt.render trace);
   let graph = Crs_hypergraph.Sched_graph.of_trace trace in
@@ -31,7 +31,7 @@ let () =
   List.iter
     (fun n ->
       let instance = A.round_robin_family ~n in
-      let rr = Crs_algorithms.Round_robin.makespan instance in
+      let rr = Crs_kernels.Round_robin.makespan instance in
       let opt =
         Execution.makespan (Execution.run_exn instance (A.round_robin_family_opt_schedule ~n))
       in
@@ -43,7 +43,7 @@ let () =
   section "Figure 4 / Theorem 4 — Partition gadget";
   let demo elements =
     let p = Crs_reduction.Partition.make elements in
-    let opt = Crs_algorithms.Opt_config.makespan (Crs_reduction.Reduce.to_crsharing p) in
+    let opt = Crs_kernels.Opt_config.makespan (Crs_reduction.Reduce.to_crsharing p) in
     Printf.printf "elements [%s]: optimal makespan %d => %s\n"
       (String.concat "; " (Array.to_list (Array.map string_of_int elements)))
       opt
@@ -59,9 +59,9 @@ let () =
   List.iter
     (fun (m, blocks) ->
       let instance = A.greedy_balance_family ~m ~blocks () in
-      let gb = Crs_algorithms.Greedy_balance.makespan instance in
+      let gb = Crs_kernels.Greedy_balance.makespan instance in
       let stair =
-        Crs_algorithms.Heuristics.makespan_of Crs_algorithms.Heuristics.staircase instance
+        Crs_kernels.Heuristics.makespan_of Crs_kernels.Heuristics.staircase instance
       in
       Printf.printf "%d,%-8d %-14d %-12d %.4f   (2-1/m = %.4f)\n" m blocks gb stair
         (float_of_int gb /. float_of_int stair)

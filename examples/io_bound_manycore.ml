@@ -31,7 +31,7 @@ let () =
      EVERY bandwidth policy, simulated or not. *)
   let instance = M.Workload.to_crsharing ~granularity:20 tasks in
   let lb = Crs_core.Lower_bounds.combined instance in
-  let gb = Crs_algorithms.Greedy_balance.makespan instance in
+  let gb = Crs_kernels.Greedy_balance.makespan instance in
   Printf.printf
     "Exact-model bridge: %d jobs; no policy can beat %d ticks;\n\
      discrete GreedyBalance achieves %d (certified ratio <= %.3f, proved \

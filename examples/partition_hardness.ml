@@ -15,7 +15,7 @@ let () =
     "verdict" "agree?";
   let check p =
     let truth = P.is_yes p in
-    let makespan = Crs_algorithms.Opt_config.makespan (R.to_crsharing p) in
+    let makespan = Crs_kernels.Opt_config.makespan (R.to_crsharing p) in
     let verdict = makespan = R.yes_makespan in
     Printf.printf "%-28s %-8s %-10d %-10s %s\n"
       (String.concat ";" (Array.to_list (Array.map string_of_int p.P.elements)))

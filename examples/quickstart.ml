@@ -23,7 +23,7 @@ let () =
     (Lower_bounds.job_count instance);
 
   (* GreedyBalance: the paper's linear-time (2 - 1/m)-approximation. *)
-  let schedule = Crs_algorithms.Greedy_balance.schedule instance in
+  let schedule = Crs_kernels.Greedy_balance.schedule instance in
   let trace = Execution.run_exn instance schedule in
   Printf.printf "GreedyBalance: %s\n" (Crs_render.Gantt.summary trace);
   print_string (Crs_render.Gantt.render trace);

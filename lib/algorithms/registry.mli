@@ -13,7 +13,7 @@
     campaign runner filters by {!applicability} (an exact solver swept
     over an [m = 3] family reports [not_applicable] instead of
     crashing), and the benches look solvers up by name instead of
-    hard-wiring [Crs_algorithms.*] call sites. *)
+    hard-wiring [Crs_kernels.*] call sites. *)
 
 (** Canonical name constants — the only place these strings are
     defined. Everything else ([Spec], the CLI, the benches, the
@@ -126,6 +126,11 @@ val applicability : solver -> Crs_core.Instance.t -> (unit, string) result
 val solve : ?certify:bool -> solver -> Crs_core.Instance.t -> outcome
 (** Checked dispatch: verifies {!applicability}, runs the solver, and
     fills [counters.fuel_ticks] with the {!Crs_util.Fuel.ticks} delta.
+    This is the only instrumented point of a solve (the kernels cannot
+    link [crs_obs]): with tracing on it records one [registry.solve]
+    span carrying the makespan and every counter, with metrics on it
+    adds the counters to [solver.<name>.*] (and, for opt-config, one
+    [opt_config.layer_size] sample per layer).
     With [~certify:true], a witness outcome is additionally audited by
     the installed independent certifier (see {!install_certifier}):
     feasibility, job order, completion, and the claimed makespan are

@@ -1,5 +1,6 @@
 module Q = Crs_num.Rational
 open Crs_core
+open Crs_kernels
 
 (* Thin policy layer over {!Registry}: picks which registered exact
    solver answers a query; all dispatch and instrumentation lives in the

@@ -30,7 +30,7 @@ val to_policy : t -> Policy.t
 val greedy_balance : t
 (** GreedyBalance expressed online: sort by (jobs remaining, remaining
     work) descending and pour. Produces bit-identical schedules to
-    [Crs_algorithms.Greedy_balance] (tested). *)
+    [Crs_kernels.Greedy_balance] (tested). *)
 
 val round_robin : t
 (** RoundRobin expressed online: only processors whose

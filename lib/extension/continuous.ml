@@ -106,6 +106,6 @@ let work_lower_bound instance =
   Q.max (Instance.total_work instance) volume_bound
 
 let discretization_overhead instance =
-  let discrete = Q.of_int (Crs_algorithms.Greedy_balance.makespan instance) in
+  let discrete = Q.of_int (Crs_kernels.Greedy_balance.makespan instance) in
   let continuous = (greedy_balance instance).makespan in
   Q.sub discrete continuous

@@ -191,4 +191,4 @@ let check t result =
 
 let greedy_matches_single_resource instance =
   let vector = greedy_balance (of_instance instance) in
-  vector.makespan = Crs_algorithms.Greedy_balance.makespan instance
+  vector.makespan = Crs_kernels.Greedy_balance.makespan instance

@@ -61,5 +61,5 @@ val uniform : t -> run
 
 val greedy_matches_single_resource : Crs_core.Instance.t -> bool
 (** Bridge check: on [d = 1] embeddings, the vector GreedyBalance
-    produces the same makespan as [Crs_algorithms.Greedy_balance]
+    produces the same makespan as [Crs_kernels.Greedy_balance]
     (property-tested). *)

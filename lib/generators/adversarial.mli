@@ -6,7 +6,7 @@
     benches can check measured ratios against the claims.
 
     Two transcription notes (full discussion in EXPERIMENTS.md):
-    - E1 (Algorithm 1, lines 20-21) is handled in {!Crs_algorithms.Opt_two}.
+    - E1 (Algorithm 1, lines 20-21) is handled in {!Crs_kernels.Opt_two}.
     - E2: the printed formula for a block's second-column head job in the
       proof of Theorem 8 reads [1 − Σ_i (1 − r_ij) + ε], which contradicts
       the labels of Figure 5 (e.g. it yields 0.95 where the figure says

@@ -126,31 +126,7 @@ let solve ?(node_limit = 2_000_000) instance =
       end
     end
   in
-  let j0 = Array.make m 0 in
-  let v0 = Array.init m (fun i -> req i 0) in
-  Crs_obs.Trace.with_span_l
-    (fun () -> [ ("m", Crs_obs.Trace.Int m) ])
-    "brute_force.search"
-    (fun () ->
-      dfs 0 j0 v0;
-      if Crs_obs.Trace.enabled () then
-        Crs_obs.Trace.add_attrs
-          [
-            ("visited", Crs_obs.Trace.Int !visited);
-            ("memo_hits", Crs_obs.Trace.Int !memo_hits);
-            ("memo_misses", Crs_obs.Trace.Int !memo_misses);
-            ("best", Crs_obs.Trace.Int !best);
-          ]);
-  if Crs_obs.Metrics.enabled () then begin
-    let probes = !memo_hits + !memo_misses in
-    if probes > 0 then
-      Crs_obs.Metrics.set
-        (Crs_obs.Metrics.gauge "brute_force.memo_hit_ratio")
-        (float_of_int !memo_hits /. float_of_int probes);
-    Crs_obs.Metrics.observe
-      (Crs_obs.Metrics.histogram "brute_force.nodes_visited")
-      !visited
-  end;
+  dfs 0 (Array.make m 0) (Array.init m (fun i -> req i 0));
   ( !best,
     { visited = !visited; memo_hits = !memo_hits; memo_misses = !memo_misses } )
 

@@ -196,11 +196,6 @@ let solve ?(prune = true) instance =
     let generated = ref 0 in
     let layer_sizes = ref [] in
     let max_layers = Instance.total_jobs instance + 1 in
-    let layer_hist =
-      if Crs_obs.Metrics.enabled () then
-        Some (Crs_obs.Metrics.histogram "opt_config.layer_size")
-      else None
-    in
     (* Remainder order for processor [i], preferring the unboxed parts
        (equal denominators — always the case in common-denominator
        mode — compare by numerator, forming no products). *)
@@ -268,7 +263,6 @@ let solve ?(prune = true) instance =
     let expand_layer layer =
       H.clear next;
       let rev_order = ref [] in
-      let gen0 = !generated in
       (* Probe the scratch key ([bigs] lists any big-tier entries, in
          ascending processor order); on a miss, materialize and queue
          the successor. *)
@@ -498,32 +492,14 @@ let solve ?(prune = true) instance =
       (* Candidates were filtered against [seen], so survivors are new
          keys: plain add, no lookup-and-replace. *)
       List.iter (fun n -> H.add seen n.key ()) survivors;
-      let width = List.length survivors in
-      layer_sizes := width :: !layer_sizes;
-      (match layer_hist with
-      | Some h -> Crs_obs.Metrics.observe h width
-      | None -> ());
-      if Crs_obs.Trace.enabled () then
-        Crs_obs.Trace.add_attrs
-          [
-            ("survivors", Crs_obs.Trace.Int width);
-            ("generated", Crs_obs.Trace.Int (!generated - gen0));
-          ];
+      layer_sizes := List.length survivors :: !layer_sizes;
       survivors
     in
-    (* One span per time layer. The recursive call happens outside the
-       span so layers appear as siblings under the solve root, not as an
-       ever-deepening chain. *)
     let rec grow layer t =
       if t > max_layers then
         failwith "Opt_config.solve: exceeded layer budget (bug)"
       else begin
-        let survivors =
-          Crs_obs.Trace.with_span_l
-            (fun () -> [ ("t", Crs_obs.Trace.Int t) ])
-            "opt_config.layer"
-            (fun () -> expand_layer layer)
-        in
+        let survivors = expand_layer layer in
         match List.find_opt is_final survivors with
         | Some final -> (t, final)
         | None ->

@@ -6,7 +6,7 @@
     when metrics are disabled. Registration ({!counter} / {!gauge} /
     {!histogram}) is idempotent — the same name returns the same metric
     — and mutex-protected; updates are lock-free ([Atomic]) and safe
-    under the campaign [Pool].
+    under the [Crs_exec] executor.
 
     Histograms bucket observations by powers of two (bucket 0 holds
     values [<= 0], bucket [k >= 1] holds [2^(k-1) <= v < 2^k]), which

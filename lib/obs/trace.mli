@@ -9,7 +9,7 @@
     allocating when nothing listens.
 
     Each domain records into its own buffer ([Domain.DLS]), so tracing
-    is safe under the campaign [Pool] without locking on the hot path.
+    is safe under the [Crs_exec] executor without locking on the hot path.
     Which pool domain runs which item is scheduling-dependent, so raw
     buffers are not deterministic; {!forest} rebuilds the span trees and
     sorts roots by (name, attributes), which {i is} deterministic as

@@ -13,18 +13,18 @@ let q = Helpers.q
 let test_round_robin_phases () =
   let inst = Helpers.instance_of_strings [ [ "1/2"; "1/2" ]; [ "3/4"; "3/4" ] ] in
   (* Phase totals are 5/4 each: two steps per phase, makespan 4. *)
-  Alcotest.(check int) "makespan" 4 (Crs_algorithms.Round_robin.makespan inst);
+  Alcotest.(check int) "makespan" 4 (Crs_kernels.Round_robin.makespan inst);
   Alcotest.(check int) "prediction matches" 4
-    (Crs_algorithms.Round_robin.predicted_makespan_unit inst);
-  Alcotest.(check int) "phase of step 1" 1 (Crs_algorithms.Round_robin.phase_of_step inst 1);
-  Alcotest.(check int) "phase of step 3" 2 (Crs_algorithms.Round_robin.phase_of_step inst 3)
+    (Crs_kernels.Round_robin.predicted_makespan_unit inst);
+  Alcotest.(check int) "phase of step 1" 1 (Crs_kernels.Round_robin.phase_of_step inst 1);
+  Alcotest.(check int) "phase of step 3" 2 (Crs_kernels.Round_robin.phase_of_step inst 3)
 
 let test_round_robin_zero_phase () =
   (* A phase of zero-requirement jobs still needs one step. *)
   let inst = Helpers.instance_of_strings [ [ "0"; "1/2" ]; [ "0"; "1/2" ] ] in
   Alcotest.(check int) "prediction counts empty phases" 2
-    (Crs_algorithms.Round_robin.predicted_makespan_unit inst);
-  Alcotest.(check int) "measured" 2 (Crs_algorithms.Round_robin.makespan inst)
+    (Crs_kernels.Round_robin.predicted_makespan_unit inst);
+  Alcotest.(check int) "measured" 2 (Crs_kernels.Round_robin.makespan inst)
 
 let test_round_robin_family () =
   List.iter
@@ -32,7 +32,7 @@ let test_round_robin_family () =
       let inst = A.round_robin_family ~n in
       let rr, opt = A.round_robin_family_predicted ~n in
       Alcotest.(check int) (Printf.sprintf "RR makespan n=%d" n) rr
-        (Crs_algorithms.Round_robin.makespan inst);
+        (Crs_kernels.Round_robin.makespan inst);
       let witness = A.round_robin_family_opt_schedule ~n in
       let trace = Execution.run_exn inst witness in
       Alcotest.(check int) (Printf.sprintf "witness optimum n=%d" n) opt
@@ -40,21 +40,21 @@ let test_round_robin_family () =
       Alcotest.check Helpers.check_q "witness wastes nothing" Q.zero
         (Execution.unused_capacity trace);
       (* The witness is truly optimal: the DP agrees. *)
-      Alcotest.(check int) "DP confirms optimum" opt (Crs_algorithms.Opt_two.makespan inst))
+      Alcotest.(check int) "DP confirms optimum" opt (Crs_kernels.Opt_two.makespan inst))
     [ 2; 3; 7; 20 ]
 
 let prop_round_robin_within_2x =
   Helpers.qcheck_case ~count:50 "Theorem 3: RR <= 2 OPT"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
-      let rr = Crs_algorithms.Round_robin.makespan instance in
-      let opt = Crs_algorithms.Brute_force.makespan instance in
+      let rr = Crs_kernels.Round_robin.makespan instance in
+      let opt = Crs_kernels.Brute_force.makespan instance in
       rr >= opt && rr <= 2 * opt)
 
 let prop_round_robin_prediction =
   Helpers.qcheck_case ~count:50 "RR closed form matches simulation"
     (Helpers.gen_instance ()) (fun instance ->
-      Crs_algorithms.Round_robin.makespan instance
-      = Crs_algorithms.Round_robin.predicted_makespan_unit instance)
+      Crs_kernels.Round_robin.makespan instance
+      = Crs_kernels.Round_robin.predicted_makespan_unit instance)
 
 (* ---------- exact solvers cross-validation ---------- *)
 
@@ -62,51 +62,51 @@ let test_opt_two_requires_two_procs () =
   let inst = Helpers.instance_of_strings [ [ "1/2" ] ] in
   Alcotest.check_raises "m=1 rejected"
     (Invalid_argument "Opt_two: instance must have exactly 2 processors")
-    (fun () -> ignore (Crs_algorithms.Opt_two.makespan inst))
+    (fun () -> ignore (Crs_kernels.Opt_two.makespan inst))
 
 let test_opt_two_simple_cases () =
   (* Two jobs that fit together: one step. *)
   let inst = Helpers.instance_of_strings [ [ "1/2" ]; [ "1/2" ] ] in
-  Alcotest.(check int) "perfect fit" 1 (Crs_algorithms.Opt_two.makespan inst);
+  Alcotest.(check int) "perfect fit" 1 (Crs_kernels.Opt_two.makespan inst);
   (* Requirements 1 and 1: two steps. *)
   let inst2 = Helpers.instance_of_strings [ [ "1" ]; [ "1" ] ] in
-  Alcotest.(check int) "sequential" 2 (Crs_algorithms.Opt_two.makespan inst2);
+  Alcotest.(check int) "sequential" 2 (Crs_kernels.Opt_two.makespan inst2);
   (* Empty second processor. *)
   let inst3 = Helpers.instance_of_strings [ [ "1/4"; "1/4" ]; [] ] in
-  Alcotest.(check int) "single processor side" 2 (Crs_algorithms.Opt_two.makespan inst3)
+  Alcotest.(check int) "single processor side" 2 (Crs_kernels.Opt_two.makespan inst3)
 
 let test_opt_two_witness_valid () =
   let st = Random.State.make [| 17 |] in
   for _ = 1 to 30 do
     let inst = Helpers.random_instance ~max_m:2 st in
-    let sol = Crs_algorithms.Opt_two.solve inst in
-    let trace = Execution.run_exn inst sol.Crs_algorithms.Opt_two.schedule in
+    let sol = Crs_kernels.Opt_two.solve inst in
+    let trace = Execution.run_exn inst sol.Crs_kernels.Opt_two.schedule in
     Alcotest.(check bool) "witness completes" true trace.Execution.completed;
     Alcotest.(check int) "witness achieves claimed makespan"
-      sol.Crs_algorithms.Opt_two.makespan (Execution.makespan trace)
+      sol.Crs_kernels.Opt_two.makespan (Execution.makespan trace)
   done
 
 let prop_exact_solvers_agree_m2 =
   Helpers.qcheck_case ~count:60 "Opt_two = Opt_two_pq = Opt_config = brute force (m=2)"
     (Helpers.gen_instance ~max_m:2 ~max_jobs:4 ()) (fun instance ->
-      let dp = Crs_algorithms.Opt_two.makespan instance in
-      dp = Crs_algorithms.Opt_two_pq.makespan instance
-      && dp = Crs_algorithms.Opt_config.makespan instance
-      && dp = Crs_algorithms.Brute_force.makespan instance)
+      let dp = Crs_kernels.Opt_two.makespan instance in
+      dp = Crs_kernels.Opt_two_pq.makespan instance
+      && dp = Crs_kernels.Opt_config.makespan instance
+      && dp = Crs_kernels.Brute_force.makespan instance)
 
 (* Lemma 3 audit: keeping only the lexicographic best (t, r) per cell
    never loses against keeping the full Pareto frontier. *)
 let prop_lemma3_sufficiency =
   Helpers.qcheck_case ~count:60 "Lemma 3: lex DP = Pareto-frontier DP"
     (Helpers.gen_instance ~max_m:2 ~max_jobs:5 ()) (fun instance ->
-      Crs_algorithms.Opt_two.makespan instance
-      = Crs_algorithms.Opt_two_pareto.makespan instance)
+      Crs_kernels.Opt_two.makespan instance
+      = Crs_kernels.Opt_two_pareto.makespan instance)
 
 let prop_exact_solvers_agree_m3 =
   Helpers.qcheck_case ~count:30 "Opt_config = brute force (m=3)"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
-      Crs_algorithms.Opt_config.makespan instance
-      = Crs_algorithms.Brute_force.makespan instance)
+      Crs_kernels.Opt_config.makespan instance
+      = Crs_kernels.Brute_force.makespan instance)
 
 (* m=4 parity: the configuration DP against the brute-force reference
    on its widest testable machine count. The state space explodes with
@@ -122,30 +122,30 @@ let prop_exact_solvers_agree_m4 =
            st)
        QCheck2.Gen.(int_bound 1_000_000))
     (fun instance ->
-      Crs_algorithms.Opt_config.makespan instance
-      = Crs_algorithms.Brute_force.makespan instance)
+      Crs_kernels.Opt_config.makespan instance
+      = Crs_kernels.Brute_force.makespan instance)
 
 let prop_opt_config_prune_invariant =
   Helpers.qcheck_case ~count:25 "domination pruning preserves the optimum"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:2 ()) (fun instance ->
-      Crs_algorithms.Opt_config.makespan ~prune:true instance
-      = Crs_algorithms.Opt_config.makespan ~prune:false instance)
+      Crs_kernels.Opt_config.makespan ~prune:true instance
+      = Crs_kernels.Opt_config.makespan ~prune:false instance)
 
 let prop_lemma4_audit =
   Helpers.qcheck_case ~count:25 "Lemma 4: step-equal extended configs are comparable"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:2 ()) (fun instance ->
-      Crs_algorithms.Lemma4_audit.holds instance)
+      Crs_kernels.Lemma4_audit.holds instance)
 
 (* E4: without the nested restriction Lemma 4 fails; the witness below
    reaches two step-equal extended configurations with incomparable
    remainders (hand-verified via two explicit unnested schedules). *)
 let test_lemma4_needs_nestedness () =
   let witness = Helpers.instance_of_strings [ [ "7/8" ]; [ "10/11"; "1" ]; [ "1/3"; "2/3" ] ] in
-  let unrestricted = Crs_algorithms.Lemma4_audit.audit ~nested:false witness in
+  let unrestricted = Crs_kernels.Lemma4_audit.audit ~nested:false witness in
   Alcotest.(check bool) "E4: counterexample without nestedness" true
     (unrestricted.counterexample <> None);
   Alcotest.(check bool) "holds with nestedness" true
-    (Crs_algorithms.Lemma4_audit.holds witness)
+    (Crs_kernels.Lemma4_audit.holds witness)
 
 let test_lemma4_audit_strong_form () =
   (* Lemma 4's proof concludes step-equal extended configurations are
@@ -155,7 +155,7 @@ let test_lemma4_audit_strong_form () =
     Helpers.instance_of_strings
       [ [ "3/4"; "1/2" ]; [ "3/4"; "1/2" ]; [ "1/2" ] ]
   in
-  let v = Crs_algorithms.Lemma4_audit.audit inst in
+  let v = Crs_kernels.Lemma4_audit.audit inst in
   Alcotest.(check bool) "some configurations enumerated" true (v.configurations > 10);
   Alcotest.(check int) "strong form: no distinct step-equal pairs" 0 v.step_equal_pairs;
   Alcotest.(check (option string)) "no counterexample" None v.counterexample
@@ -164,18 +164,18 @@ let test_opt_config_witness_valid () =
   let st = Random.State.make [| 23 |] in
   for _ = 1 to 20 do
     let inst = Helpers.random_instance ~max_m:3 ~max_jobs:3 st in
-    let sol = Crs_algorithms.Opt_config.solve inst in
-    let trace = Execution.run_exn inst sol.Crs_algorithms.Opt_config.schedule in
+    let sol = Crs_kernels.Opt_config.solve inst in
+    let trace = Execution.run_exn inst sol.Crs_kernels.Opt_config.schedule in
     Alcotest.(check bool) "witness completes" true trace.Execution.completed;
     Alcotest.(check int) "witness achieves claimed makespan"
-      sol.Crs_algorithms.Opt_config.makespan (Execution.makespan trace)
+      sol.Crs_kernels.Opt_config.makespan (Execution.makespan trace)
   done
 
 let test_exact_lower_bounds () =
   let st = Random.State.make [| 31 |] in
   for _ = 1 to 20 do
     let inst = Helpers.random_instance ~max_m:2 st in
-    let opt = Crs_algorithms.Opt_two.makespan inst in
+    let opt = Crs_kernels.Opt_two.makespan inst in
     Alcotest.(check bool) "Obs 1 + job count below OPT" true
       (Lower_bounds.combined inst <= opt)
   done
@@ -189,7 +189,7 @@ let test_greedy_balance_family () =
       Alcotest.(check int)
         (Printf.sprintf "GB on family m=%d blocks=%d" m blocks)
         (A.greedy_balance_family_predicted ~m ~blocks)
-        (Crs_algorithms.Greedy_balance.makespan inst))
+        (Crs_kernels.Greedy_balance.makespan inst))
     [ (2, 1); (2, 4); (3, 2); (4, 2); (5, 1) ]
 
 let test_figure5_values () =
@@ -216,17 +216,17 @@ let prop_theorem7_ratio =
   Helpers.qcheck_case ~count:50 "Theorem 7: GB <= (2-1/m) OPT"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
       let m = Instance.m instance in
-      let gb = Crs_algorithms.Greedy_balance.makespan instance in
-      let opt = Crs_algorithms.Brute_force.makespan instance in
+      let gb = Crs_kernels.Greedy_balance.makespan instance in
+      let opt = Crs_kernels.Brute_force.makespan instance in
       gb >= opt && gb * m <= ((2 * m) - 1) * opt)
 
 let test_family_ratio_approaches_bound () =
   (* As blocks grow, GB/staircase approaches 2 - 1/m from below. *)
   let ratio m blocks =
     let inst = A.greedy_balance_family ~m ~blocks () in
-    let gb = Crs_algorithms.Greedy_balance.makespan inst in
+    let gb = Crs_kernels.Greedy_balance.makespan inst in
     let stair =
-      Crs_algorithms.Heuristics.makespan_of Crs_algorithms.Heuristics.staircase inst
+      Crs_kernels.Heuristics.makespan_of Crs_kernels.Heuristics.staircase inst
     in
     float_of_int gb /. float_of_int stair
   in
@@ -242,10 +242,10 @@ let prop_theorem7_proof_bounds =
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
       let m = Instance.m instance in
       let trace =
-        Execution.run_exn instance (Crs_algorithms.Greedy_balance.schedule instance)
+        Execution.run_exn instance (Crs_kernels.Greedy_balance.schedule instance)
       in
       let g = Crs_hypergraph.Sched_graph.of_trace trace in
-      let opt = Crs_algorithms.Brute_force.makespan instance in
+      let opt = Crs_kernels.Brute_force.makespan instance in
       let ratio = Q.of_ints (Execution.makespan trace) opt in
       let eq10, eq11 = Crs_hypergraph.Bounds.theorem7_ratio_bounds g ~m in
       Q.(ratio <= eq11)
@@ -257,10 +257,10 @@ let test_heuristics_never_below_opt () =
   let st = Random.State.make [| 41 |] in
   for _ = 1 to 15 do
     let inst = Helpers.random_instance ~max_m:2 ~max_jobs:3 st in
-    let opt = Crs_algorithms.Opt_two.makespan inst in
+    let opt = Crs_kernels.Opt_two.makespan inst in
     List.iter
       (fun (name, policy) ->
-        let ms = Crs_algorithms.Heuristics.makespan_of policy inst in
+        let ms = Crs_kernels.Heuristics.makespan_of policy inst in
         Alcotest.(check bool) (name ^ " >= OPT") true (ms >= opt))
       Crs_algorithms.Registry.policies
   done
@@ -283,7 +283,7 @@ let test_solver_facade () =
   let sched = Crs_algorithms.Solver.optimal_schedule inst in
   Alcotest.(check int) "witness" 2 (Execution.makespan (Execution.run_exn inst sched));
   Alcotest.check Helpers.check_q "ratio of GB" Q.one
-    (Crs_algorithms.Solver.ratio ~algorithm:Crs_algorithms.Greedy_balance.makespan inst)
+    (Crs_algorithms.Solver.ratio ~algorithm:Crs_kernels.Greedy_balance.makespan inst)
 
 let prop_certified_ratio_bound =
   Helpers.qcheck_case ~count:40 "certified ratio upper bound is sound"
@@ -291,7 +291,7 @@ let prop_certified_ratio_bound =
       let certified = Crs_algorithms.Solver.ratio_upper_bound instance in
       let true_ratio =
         Crs_algorithms.Solver.ratio
-          ~algorithm:Crs_algorithms.Greedy_balance.makespan instance
+          ~algorithm:Crs_kernels.Greedy_balance.makespan instance
       in
       Q.(true_ratio <= certified))
 

@@ -1,9 +1,10 @@
 (* crs_serve balancer: rendezvous routing determinism, the PROTOCOL.md
-   inventory tripwire, and end-to-end sharded-tier tests over real
-   `crsched serve` worker processes — byte-identity through the
-   balancer, worker-kill-and-restart with exact accounting, and
-   warm-tier replay. Tests run in _build/default/test with the crsched
-   binary at ../bin/crsched.exe (a dune dep). *)
+   inventory and OPERATIONS.md flag-default tripwires, and end-to-end
+   sharded-tier tests over real `crsched serve` worker processes —
+   byte-identity through the balancer, worker-kill-and-restart with
+   exact accounting, and warm-tier replay. Tests run in
+   _build/default/test with the crsched binary at ../bin/crsched.exe
+   (a dune dep). *)
 
 open Crs_core
 module Balancer = Crs_serve.Balancer
@@ -146,6 +147,53 @@ let test_protocol_doc_inventory () =
         true
         (Helpers.contains ~needle doc))
     [ "crs-serve/1"; "crs-warm/1"; "\"kind\":\"response\""; "stats"; "warm" ]
+
+(* ---- OPERATIONS.md flag defaults ---- *)
+
+(* The flag tables of docs/OPERATIONS.md as ((section, flag), default):
+   section is the "### `crsched serve`" heading text, flag the first
+   word of the row's flag cell, backticks stripped throughout. *)
+let operations_flag_defaults () =
+  let strip s = String.concat "" (String.split_on_char '`' (String.trim s)) in
+  let section = ref "" in
+  In_channel.with_open_text
+    (Filename.concat ".." (Filename.concat "docs" "OPERATIONS.md"))
+    In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter_map (fun line ->
+         if String.starts_with ~prefix:"### " line then begin
+           section := strip (String.sub line 4 (String.length line - 4));
+           None
+         end
+         else
+           match String.split_on_char '|' line with
+           | "" :: flag :: default :: _
+             when String.starts_with ~prefix:"--" (strip flag) ->
+             let name = List.hd (String.split_on_char ' ' (strip flag)) in
+             Some ((!section, name), strip default)
+           | _ -> None)
+
+let test_operations_doc_defaults () =
+  let module S = Crs_serve.Server in
+  let module F = Crs_serve.Frontend in
+  let table = operations_flag_defaults () in
+  let d = S.default_config and c = F.default_settings in
+  let check section flag expected =
+    match List.assoc_opt (section, flag) table with
+    | None -> Alcotest.failf "OPERATIONS.md has no %s row under %s" flag section
+    | Some doc ->
+      Alcotest.(check string) (Printf.sprintf "%s %s default" section flag) expected doc
+  in
+  let serve = "crsched serve" and balance = "crsched balance" in
+  check serve "--workers" (string_of_int d.S.workers);
+  check serve "--queue" (string_of_int d.S.queue);
+  check serve "--cache" (string_of_int d.S.cache_capacity);
+  check serve "--fuel" (string_of_int (Option.value d.S.default_fuel ~default:0));
+  check serve "--max-conns" (string_of_int c.F.max_conns);
+  check serve "--backlog" (string_of_int d.S.backlog);
+  check serve "--idle-timeout" (Printf.sprintf "%g" c.F.idle_timeout_s);
+  check balance "--max-conns" (string_of_int c.F.max_conns);
+  check balance "--backlog" (string_of_int d.S.backlog)
 
 (* ---- end-to-end tiers over real shard processes ---- *)
 
@@ -412,6 +460,8 @@ let suite =
       test_route_canonical_equivalents_agree;
     Alcotest.test_case "docs: PROTOCOL.md inventory is complete" `Quick
       test_protocol_doc_inventory;
+    Alcotest.test_case "docs: OPERATIONS.md flag defaults match the code" `Quick
+      test_operations_doc_defaults;
     Alcotest.test_case "tier: byte-identity through the balancer" `Quick
       test_tier_byte_identity;
     Alcotest.test_case "tier: kill -9 a shard, exact accounting" `Quick

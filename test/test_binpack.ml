@@ -91,7 +91,7 @@ let prop_next_fit_sound =
 let prop_relaxation_sound =
   Helpers.qcheck_case ~count:40 "bin-packing relaxation bounds CRSharing OPT"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
-      let opt = Crs_algorithms.Brute_force.makespan instance in
+      let opt = Crs_kernels.Brute_force.makespan instance in
       S.crsharing_relaxation_bound instance <= opt)
 
 let test_relaxation_on_figure1 () =

@@ -1,62 +1,43 @@
-(* Tests for the parallel experiment-campaign subsystem: the domain
-   pool, the runner's timeout/error capture, the JSONL report, and the
+(* Tests for the parallel experiment-campaign subsystem: the executor
+   calls the runner relies on, the runner's timeout/error capture, the JSONL report, and the
    determinism contract (1 domain and N domains produce identical
    payloads). The pooled cases double as the tier-1 smoke campaign that
    exercises the parallel path on every `dune runtest`. *)
 
 module C = Crs_campaign
+module Exec = Crs_exec.Exec
 
-(* ---- Pool ---- *)
-
-let test_pool_oversubscription () =
-  (* Far more tasks than domains: all run, results keep item order. *)
-  let n = 200 in
-  let input = Array.init n (fun i -> i) in
-  let out = C.Pool.map ~domains:3 (fun i -> (2 * i) + 1) input in
-  Alcotest.(check int) "all results" n (Array.length out);
-  Array.iteri
-    (fun i r -> Alcotest.(check int) "order preserved" ((2 * i) + 1) r)
-    out
+(* ---- Pool: the executor the campaign runs on ---- *)
 
 let test_pool_empty () =
-  Alcotest.(check int) "empty map" 0 (Array.length (C.Pool.map ~domains:2 (fun x -> x) [||]))
+  Alcotest.(check int) "empty map" 0 (Array.length (Exec.map ~domains:2 (fun x -> x) [||]))
 
 let test_pool_submit_await () =
   let counter = Atomic.make 0 in
-  C.Pool.with_pool ~domains:2 (fun pool ->
+  Exec.with_exec ~domains:2 (fun pool ->
       for _ = 1 to 50 do
-        C.Pool.submit pool (fun () -> Atomic.incr counter)
+        Exec.submit pool (fun () -> Atomic.incr counter)
       done;
-      Alcotest.(check bool) "no failure" true (C.Pool.await_all pool = None);
+      Alcotest.(check bool) "no failure" true (Exec.await_all pool = None);
       Alcotest.(check int) "all tasks ran" 50 (Atomic.get counter);
       (* The pool is reusable after await_all. *)
-      C.Pool.submit pool (fun () -> Atomic.incr counter);
-      Alcotest.(check bool) "no failure (2nd batch)" true (C.Pool.await_all pool = None);
+      Exec.submit pool (fun () -> Atomic.incr counter);
+      Alcotest.(check bool) "no failure (2nd batch)" true (Exec.await_all pool = None);
       Alcotest.(check int) "second batch ran" 51 (Atomic.get counter))
 
 let test_pool_task_raises () =
   (* One poisoned task: reported by await_all, the rest still run. *)
   let ran = Atomic.make 0 in
-  C.Pool.with_pool ~domains:2 (fun pool ->
+  Exec.with_exec ~domains:2 (fun pool ->
       for i = 1 to 20 do
-        C.Pool.submit pool (fun () ->
+        Exec.submit pool (fun () ->
             if i = 7 then failwith "poisoned" else Atomic.incr ran)
       done;
-      match C.Pool.await_all pool with
+      match Exec.await_all pool with
       | Some (Failure msg) ->
         Alcotest.(check string) "failure surfaced" "poisoned" msg;
         Alcotest.(check int) "others completed" 19 (Atomic.get ran)
       | _ -> Alcotest.fail "expected the task failure to surface")
-
-let test_pool_shutdown_rejects_submit () =
-  let pool = C.Pool.create ~domains:1 in
-  C.Pool.shutdown pool;
-  C.Pool.shutdown pool (* idempotent *);
-  Alcotest.(check bool) "submit after shutdown rejected" true
-    (try
-       C.Pool.submit pool (fun () -> ());
-       false
-     with Invalid_argument _ -> true)
 
 (* ---- Spec ---- *)
 
@@ -275,14 +256,10 @@ let test_json_escaping () =
 
 let suite =
   [
-    Alcotest.test_case "pool: oversubscription, order preserved" `Quick
-      test_pool_oversubscription;
     Alcotest.test_case "pool: empty input" `Quick test_pool_empty;
     Alcotest.test_case "pool: submit/await, reusable" `Quick test_pool_submit_await;
     Alcotest.test_case "pool: a raising task is contained" `Quick
       test_pool_task_raises;
-    Alcotest.test_case "pool: shutdown rejects submit" `Quick
-      test_pool_shutdown_rejects_submit;
     Alcotest.test_case "spec: expansion" `Quick test_spec_expand;
     Alcotest.test_case "spec: empty campaign" `Quick test_empty_campaign;
     Alcotest.test_case "spec: validate negative paths" `Quick

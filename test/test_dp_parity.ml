@@ -16,8 +16,8 @@
 
 module Q = Crs_num.Rational
 open Crs_core
-module O2 = Crs_algorithms.Opt_two
-module OC = Crs_algorithms.Opt_config
+module O2 = Crs_kernels.Opt_two
+module OC = Crs_kernels.Opt_config
 module L2 = Crs_legacy.Legacy_opt_two
 module LC = Crs_legacy.Legacy_opt_config
 

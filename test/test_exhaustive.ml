@@ -28,25 +28,25 @@ let all_instances =
 let test_solver_agreement () =
   List.iter
     (fun inst ->
-      let dp = Crs_algorithms.Opt_two.makespan inst in
+      let dp = Crs_kernels.Opt_two.makespan inst in
       let label = Instance.to_string inst in
-      Alcotest.(check int) ("pq: " ^ label) dp (Crs_algorithms.Opt_two_pq.makespan inst);
+      Alcotest.(check int) ("pq: " ^ label) dp (Crs_kernels.Opt_two_pq.makespan inst);
       Alcotest.(check int) ("pareto: " ^ label) dp
-        (Crs_algorithms.Opt_two_pareto.makespan inst);
+        (Crs_kernels.Opt_two_pareto.makespan inst);
       Alcotest.(check int) ("config: " ^ label) dp
-        (Crs_algorithms.Opt_config.makespan inst);
-      Alcotest.(check int) ("bnb: " ^ label) dp (Crs_algorithms.Brute_force.makespan inst))
+        (Crs_kernels.Opt_config.makespan inst);
+      Alcotest.(check int) ("bnb: " ^ label) dp (Crs_kernels.Brute_force.makespan inst))
     all_instances
 
 let test_witnesses_and_bounds () =
   List.iter
     (fun inst ->
       let label = Instance.to_string inst in
-      let sol = Crs_algorithms.Opt_two.solve inst in
-      let opt = sol.Crs_algorithms.Opt_two.makespan in
+      let sol = Crs_kernels.Opt_two.solve inst in
+      let opt = sol.Crs_kernels.Opt_two.makespan in
       (* Witness achieves the optimum. *)
       (if Instance.total_jobs inst > 0 then begin
-         let trace = Execution.run_exn inst sol.Crs_algorithms.Opt_two.schedule in
+         let trace = Execution.run_exn inst sol.Crs_kernels.Opt_two.schedule in
          Alcotest.(check bool) ("witness completes: " ^ label) true
            trace.Execution.completed;
          Alcotest.(check int) ("witness makespan: " ^ label) opt
@@ -55,8 +55,8 @@ let test_witnesses_and_bounds () =
       (* Lower bounds never exceed OPT. *)
       Alcotest.(check bool) ("LB: " ^ label) true (Lower_bounds.combined inst <= opt);
       (* Theorem 3 and Theorem 7 for m=2 on the whole universe. *)
-      let rr = Crs_algorithms.Round_robin.makespan inst in
-      let gb = Crs_algorithms.Greedy_balance.makespan inst in
+      let rr = Crs_kernels.Round_robin.makespan inst in
+      let gb = Crs_kernels.Greedy_balance.makespan inst in
       Alcotest.(check bool) ("Thm 3: " ^ label) true (rr >= opt && rr <= 2 * opt);
       Alcotest.(check bool) ("Thm 7: " ^ label) true
         (gb >= opt && 2 * gb <= 3 * opt);
@@ -71,7 +71,7 @@ let test_greedy_properties_everywhere () =
     (fun inst ->
       if Instance.total_jobs inst > 0 then begin
         let label = Instance.to_string inst in
-        let trace = Execution.run_exn inst (Crs_algorithms.Greedy_balance.schedule inst) in
+        let trace = Execution.run_exn inst (Crs_kernels.Greedy_balance.schedule inst) in
         Alcotest.(check bool) ("nw: " ^ label) true (Properties.is_non_wasting trace);
         Alcotest.(check bool) ("prog: " ^ label) true (Properties.is_progressive trace);
         Alcotest.(check bool) ("bal: " ^ label) true (Properties.is_balanced trace)

@@ -89,7 +89,7 @@ let prop_general_round_robin_vs_bound =
       let inst = Crs_generators.Random_gen.sized_jobs ~m:3 ~n:3 ~granularity:6 ~max_size:3 st in
       let rr =
         Execution.makespan
-          (Execution.run_exn inst (Crs_algorithms.Round_robin.schedule inst))
+          (Execution.run_exn inst (Crs_kernels.Round_robin.schedule inst))
       in
       let lb = Lower_bounds.combined inst in
       rr <= (2 * lb) + 1)
@@ -113,7 +113,7 @@ let test_continuous_beats_discrete () =
      then rate 3/4: finishes at 1 + (3/4 - 1/4)/(3/4) = 5/3. *)
   Alcotest.check Helpers.check_q "continuous makespan 5/3" (q "5/3")
     r.X.Continuous.makespan;
-  Alcotest.(check int) "discrete takes 2" 2 (Crs_algorithms.Greedy_balance.makespan inst);
+  Alcotest.(check int) "discrete takes 2" 2 (Crs_kernels.Greedy_balance.makespan inst);
   Alcotest.check Helpers.check_q "overhead 1/3" (q "1/3")
     (X.Continuous.discretization_overhead inst)
 
@@ -132,7 +132,7 @@ let prop_continuous_sound =
   Helpers.qcheck_case ~count:40 "continuous GB within sound envelope"
     (Helpers.gen_instance ()) (fun instance ->
       let r = X.Continuous.greedy_balance instance in
-      let discrete = Q.of_int (Crs_algorithms.Greedy_balance.makespan instance) in
+      let discrete = Q.of_int (Crs_kernels.Greedy_balance.makespan instance) in
       let slack = Q.of_int (Instance.total_jobs instance) in
       Q.(r.X.Continuous.makespan >= X.Continuous.work_lower_bound instance)
       && Q.(r.X.Continuous.makespan <= Q.add discrete slack))
@@ -181,7 +181,7 @@ let prop_free_assignment_relaxes =
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
       let lb, _ub, fixed =
         X.Free_assignment.price_of_fixed_assignment
-          ~exact:Crs_algorithms.Brute_force.makespan instance
+          ~exact:Crs_kernels.Brute_force.makespan instance
       in
       lb <= fixed
       && X.Free_assignment.packing_is_schedulable instance

@@ -12,18 +12,18 @@ module A = Crs_generators.Adversarial
 (* ---------- Certify ---------- *)
 
 let test_certify_accepts_witness () =
-  let sol = Crs_algorithms.Opt_config.solve A.figure1 in
-  let claimed = sol.Crs_algorithms.Opt_config.makespan in
-  match F.Certify.check A.figure1 sol.Crs_algorithms.Opt_config.schedule ~claimed with
+  let sol = Crs_kernels.Opt_config.solve A.figure1 in
+  let claimed = sol.Crs_kernels.Opt_config.makespan in
+  match F.Certify.check A.figure1 sol.Crs_kernels.Opt_config.schedule ~claimed with
   | Error msg -> Alcotest.fail ("figure 1 witness rejected: " ^ msg)
   | Ok v ->
     Alcotest.(check int) "re-derived makespan agrees" claimed v.F.Certify.makespan
 
 let test_certify_rejects_corruption () =
   let inst = Helpers.instance_of_strings [ [ "1/2"; "1/2" ]; [ "1/2" ] ] in
-  let sol = Crs_algorithms.Opt_config.solve inst in
-  let sched = sol.Crs_algorithms.Opt_config.schedule in
-  let claimed = sol.Crs_algorithms.Opt_config.makespan in
+  let sol = Crs_kernels.Opt_config.solve inst in
+  let sched = sol.Crs_kernels.Opt_config.schedule in
+  let claimed = sol.Crs_kernels.Opt_config.makespan in
   (* Wrong makespan claim. *)
   (match F.Certify.check inst sched ~claimed:(claimed + 1) with
   | Ok _ -> Alcotest.fail "inflated claim certified"
@@ -121,8 +121,8 @@ let test_oracle_catches_wrong_makespan () =
      message naming both values. *)
   let oracle =
     F.Oracle.differential ~name:"off-by-one"
-      ~reference:Crs_algorithms.Brute_force.makespan
-      ~candidate:(fun i -> Crs_algorithms.Brute_force.makespan i + 1)
+      ~reference:Crs_kernels.Brute_force.makespan
+      ~candidate:(fun i -> Crs_kernels.Brute_force.makespan i + 1)
       ()
   in
   let inst = Helpers.instance_of_strings [ [ "1/2" ] ] in
@@ -180,9 +180,9 @@ let mutation_oracle =
     ~about:"Opt_two with an injected off-by-one against brute force"
     ~applies:(fun i ->
       Instance.m i = 2 && Instance.is_unit_size i && Instance.total_jobs i <= 10)
-    ~reference:Crs_algorithms.Brute_force.makespan
+    ~reference:Crs_kernels.Brute_force.makespan
     ~candidate:(fun i ->
-      let ms = Crs_algorithms.Opt_two.makespan i in
+      let ms = Crs_kernels.Opt_two.makespan i in
       if ms >= 2 then ms - 1 else ms)
     ()
 

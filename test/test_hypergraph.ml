@@ -11,7 +11,7 @@ module A = Crs_generators.Adversarial
    prioritize smaller remaining requirements. *)
 let figure1_graph () =
   let sched =
-    Policy.run Crs_algorithms.Heuristics.smallest_requirement_first A.figure1
+    Policy.run Crs_kernels.Heuristics.smallest_requirement_first A.figure1
   in
   G.of_trace (Execution.run_exn A.figure1 sched)
 
@@ -76,9 +76,9 @@ let test_theorem7_formula () =
 let prop_bounds_below_optimum =
   Helpers.qcheck_case ~count:40 "Lemma 5/6 bounds never exceed OPT"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
-      let opt = Crs_algorithms.Brute_force.makespan instance in
+      let opt = Crs_kernels.Brute_force.makespan instance in
       let trace =
-        Execution.run_exn instance (Crs_algorithms.Greedy_balance.schedule instance)
+        Execution.run_exn instance (Crs_kernels.Greedy_balance.schedule instance)
       in
       let g = G.of_trace trace in
       Crs_core.Lower_bounds.combined instance <= opt
@@ -92,7 +92,7 @@ let prop_lemma2 =
   Helpers.qcheck_case ~count:60 "Lemma 2 on greedy-balance graphs"
     (Helpers.gen_instance ()) (fun instance ->
       let trace =
-        Execution.run_exn instance (Crs_algorithms.Greedy_balance.schedule instance)
+        Execution.run_exn instance (Crs_kernels.Greedy_balance.schedule instance)
       in
       let g = G.of_trace trace in
       let comps = G.components g in

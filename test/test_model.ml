@@ -90,7 +90,7 @@ let prop_combinator_makespans =
     (fun (s1, s2) ->
       let a = Helpers.random_instance (Random.State.make [| s1 |]) in
       let b = Helpers.random_instance (Random.State.make [| s2 |]) in
-      let gb i = Crs_algorithms.Greedy_balance.makespan i in
+      let gb i = Crs_kernels.Greedy_balance.makespan i in
       let opt i = Crs_algorithms.Solver.certified_lower_bound i in
       (* gb(a++b) <= 2·OPT(a++b) <= 2·(OPT(a)+OPT(b)) <= 2·(gb(a)+gb(b))
          by Theorem 7 and sub-additivity of the optimum. *)
@@ -221,7 +221,7 @@ let prop_alternative_interpretation =
 let prop_unused_capacity_consistent =
   Helpers.qcheck_case ~count:60 "unused capacity = makespan - total work"
     (Helpers.gen_instance ()) (fun instance ->
-      let sched = Crs_algorithms.Greedy_balance.schedule instance in
+      let sched = Crs_kernels.Greedy_balance.schedule instance in
       let trace = Execution.run_exn instance sched in
       let unused = Execution.unused_capacity trace in
       Q.equal unused

@@ -257,13 +257,75 @@ let test_solver_root_span_counters () =
             root.Trace.span.Trace.name;
           Alcotest.(check bool) "makespan attr" true
             (List.mem_assoc "makespan" root.Trace.span.Trace.attrs);
-          Alcotest.(check bool) "dp phase child present" true
-            (List.exists
-               (fun (c : Trace.tree) -> c.Trace.span.Trace.name = "opt_two.dp")
-               root.Trace.children);
           (* Counters exported under solver.<name>.*. *)
           Alcotest.(check int) "solve counted" 1
             (Metrics.counter_value (Metrics.counter "solver.opt-two.solves"))))
+
+(* The kernels cannot link crs_obs, so Registry.solve is the only place
+   a solve records anything: one registry.solve root with no children,
+   whose counter attributes are exactly the outcome's counters. *)
+let test_registry_span_contract () =
+  let module R = Crs_algorithms.Registry in
+  let m3 =
+    let module G = Crs_generators.Random_gen in
+    G.instance
+      ~spec:{ G.default_spec with m = 3; jobs_min = 2; jobs_max = 3 }
+      (Random.State.make [| 14 |])
+  in
+  let counter_names =
+    [
+      "states_expanded"; "dp_relaxations"; "configs_enumerated"; "memo_hits";
+      "memo_misses";
+    ]
+  in
+  List.iter
+    (fun (name, inst) ->
+      traced (fun () ->
+          let out = R.solve (R.find_exn name) inst in
+          let counters = R.Counters.to_assoc out.R.counters in
+          Alcotest.(check bool) (name ^ ": kernel counted work") true
+            (List.exists (fun k -> List.assoc k counters > 0) counter_names);
+          match Trace.forest () with
+          | [ root ] ->
+            Alcotest.(check string) (name ^ ": root") "registry.solve"
+              root.Trace.span.Trace.name;
+            Alcotest.(check int) (name ^ ": no child spans") 0
+              (List.length root.Trace.children);
+            List.iter
+              (fun k ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: %s attr = outcome counter" name k)
+                  true
+                  (List.assoc_opt k root.Trace.span.Trace.attrs
+                  = Some (Trace.Int (List.assoc k counters))))
+              counter_names
+          | l ->
+            Alcotest.failf "%s: expected 1 span tree, got %d" name (List.length l)))
+    [
+      (R.Names.opt_two, Crs_generators.Adversarial.round_robin_family ~n:5);
+      (R.Names.opt_config, m3);
+      (R.Names.brute_force, m3);
+    ];
+  (* Layer widths are the one figure the root span lacks: with metrics
+     on, the opt-config adapter observes one histogram sample per layer. *)
+  metered (fun () ->
+      let module K = Crs_kernels.Opt_config in
+      let layers = (K.solve m3).K.stats.K.layers in
+      let out = R.solve (R.find_exn R.Names.opt_config) m3 in
+      let hist =
+        match J.member "histograms" (parse_exn "snapshot" (Metrics.snapshot ())) with
+        | Some h -> J.member "opt_config.layer_size" h
+        | None -> None
+      in
+      match hist with
+      | Some h ->
+        Alcotest.(check (option int)) "one observation per layer"
+          (Some (List.length layers))
+          (match J.member "count" h with Some (J.Int c) -> Some c | _ -> None);
+        Alcotest.(check (option int)) "observations sum to states_expanded"
+          (Some out.R.counters.R.Counters.states_expanded)
+          (match J.member "sum" h with Some (J.Int c) -> Some c | _ -> None)
+      | None -> Alcotest.fail "opt_config.layer_size histogram missing")
 
 let test_fuzz_spans () =
   traced (fun () ->
@@ -312,5 +374,7 @@ let suite =
       test_campaign_trace_deterministic;
     Alcotest.test_case "solver root span and counters" `Quick
       test_solver_root_span_counters;
+    Alcotest.test_case "registry.solve is the only span of a solve" `Quick
+      test_registry_span_contract;
     Alcotest.test_case "fuzz case spans" `Quick test_fuzz_spans;
   ]

@@ -6,7 +6,7 @@ let test_online_gb_matches_offline () =
   let st = Random.State.make [| 21 |] in
   for _ = 1 to 40 do
     let inst = Helpers.random_instance st in
-    let offline = Crs_algorithms.Greedy_balance.schedule inst in
+    let offline = Crs_kernels.Greedy_balance.schedule inst in
     let online = Policy.run (Online.to_policy Online.greedy_balance) inst in
     Alcotest.(check bool) "bit-identical schedules" true (Schedule.equal offline online)
   done
@@ -15,7 +15,7 @@ let test_online_rr_matches_offline_equal_rows () =
   let st = Random.State.make [| 22 |] in
   for _ = 1 to 30 do
     let inst = Crs_generators.Random_gen.equal_rows ~m:3 ~n:4 ~granularity:10 st in
-    let offline = Crs_algorithms.Round_robin.schedule inst in
+    let offline = Crs_kernels.Round_robin.schedule inst in
     let online = Policy.run (Online.to_policy Online.round_robin) inst in
     Alcotest.(check bool) "same schedules on equal queues" true
       (Schedule.equal offline online)
@@ -25,7 +25,7 @@ let prop_online_never_beats_offline_opt =
   Helpers.qcheck_case ~count:40 "online GB >= OPT; gap sound"
     (Helpers.gen_instance ~max_m:3 ~max_jobs:3 ()) (fun instance ->
       let online, opt =
-        Online.clairvoyance_gap ~exact:Crs_algorithms.Brute_force.makespan
+        Online.clairvoyance_gap ~exact:Crs_kernels.Brute_force.makespan
           Online.greedy_balance instance
       in
       online >= opt)

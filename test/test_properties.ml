@@ -51,7 +51,7 @@ let test_zero_requirement_breaks_balanced () =
   let inst =
     Helpers.instance_of_strings [ [ "4/5"; "1/3" ]; [ "1"; "2/5" ]; [ "0" ] ]
   in
-  let trace = Execution.run_exn inst (Crs_algorithms.Greedy_balance.schedule inst) in
+  let trace = Execution.run_exn inst (Crs_kernels.Greedy_balance.schedule inst) in
   Alcotest.(check bool) "Z1: literal Definition 5 unattainable" true
     (Result.is_error (Properties.balanced trace))
 
@@ -59,7 +59,7 @@ let test_greedy_balance_properties () =
   let st = Random.State.make [| 5 |] in
   for _ = 1 to 40 do
     let inst = Helpers.random_instance st in
-    let trace = Execution.run_exn inst (Crs_algorithms.Greedy_balance.schedule inst) in
+    let trace = Execution.run_exn inst (Crs_kernels.Greedy_balance.schedule inst) in
     Alcotest.(check bool) "non-wasting" true (Properties.is_non_wasting trace);
     Alcotest.(check bool) "progressive" true (Properties.is_progressive trace);
     Alcotest.(check bool) "balanced" true (Properties.is_balanced trace);

@@ -91,13 +91,13 @@ let test_theorem4_fixed_instances () =
   let yes = P.make [| 1; 2; 3 |] in
   let no = P.make [| 3; 3; 3; 3; 2 |] in
   Alcotest.(check int) "YES gadget optimum 4" 4
-    (Crs_algorithms.Opt_config.makespan (R.to_crsharing yes));
-  let no_opt = Crs_algorithms.Opt_config.makespan (R.to_crsharing no) in
+    (Crs_kernels.Opt_config.makespan (R.to_crsharing yes));
+  let no_opt = Crs_kernels.Opt_config.makespan (R.to_crsharing no) in
   Alcotest.(check bool) "NO gadget optimum >= 5" true (no_opt >= R.no_makespan_lower);
   Alcotest.(check bool) "decide YES" true
-    (R.decide ~exact:Crs_algorithms.Opt_config.makespan yes);
+    (R.decide ~exact:Crs_kernels.Opt_config.makespan yes);
   Alcotest.(check bool) "decide NO" false
-    (R.decide ~exact:Crs_algorithms.Opt_config.makespan no)
+    (R.decide ~exact:Crs_kernels.Opt_config.makespan no)
 
 let prop_theorem4_random =
   Helpers.qcheck_case ~count:15 "reduction decides random instances correctly"
@@ -108,7 +108,7 @@ let prop_theorem4_random =
         if seed mod 2 = 0 then P.random_yes ~n:4 ~max_value:8 st
         else P.random_no ~n:4 ~max_value:8 st
       in
-      R.decide ~exact:Crs_algorithms.Brute_force.makespan p = P.is_yes p)
+      R.decide ~exact:Crs_kernels.Brute_force.makespan p = P.is_yes p)
 
 let test_gap_ratio () =
   Alcotest.check Helpers.check_q "5/4" (Helpers.q "5/4") R.gap_ratio;

@@ -5,7 +5,7 @@
 
 open Crs_core
 module R = Crs_algorithms.Registry
-module H = Crs_algorithms.Heuristics
+module H = Crs_kernels.Heuristics
 
 (* Random unit-size instance with an EXACT processor count (Helpers'
    generator draws m >= 2; here we also need m = 1). Granularities are
@@ -21,7 +21,7 @@ let random_instance_m st m =
    test pins Registry.solve to these — a registry wrapper that silently
    dispatched to the wrong module would fail here. *)
 let direct_makespan name instance =
-  let module Alg = Crs_algorithms in
+  let module Alg = Crs_kernels in
   if name = R.Names.greedy_balance then Alg.Greedy_balance.makespan instance
   else if name = R.Names.round_robin then Alg.Round_robin.makespan instance
   else if name = R.Names.uniform then H.makespan_of H.uniform instance

@@ -27,7 +27,7 @@ let test_table_floats () =
 
 let fig1_trace () =
   let inst = Crs_generators.Adversarial.figure1 in
-  Execution.run_exn inst (Crs_algorithms.Greedy_balance.schedule inst)
+  Execution.run_exn inst (Crs_kernels.Greedy_balance.schedule inst)
 
 let test_gantt_outputs () =
   let trace = fig1_trace () in

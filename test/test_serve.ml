@@ -282,7 +282,7 @@ let test_server_fuel_opt_two_pinned () =
         Helpers.instance_of_strings [ [ "1/4"; "1/2" ]; [ "1/4"; "1/2" ] ]
       in
       let price =
-        (Crs_algorithms.Opt_two.solve instance).counters.cells_expanded
+        (Crs_kernels.Opt_two.solve instance).counters.cells_expanded
       in
       Alcotest.(check int) "diagonal instance reaches 2 of 8 grid cells" 2 price;
       let status fuel =

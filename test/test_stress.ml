@@ -7,7 +7,7 @@ open Crs_core
 let test_greedy_on_large_family () =
   (* m=6, 40 blocks: 240 jobs per processor, 1440 jobs total. *)
   let inst = Crs_generators.Adversarial.greedy_balance_family ~m:6 ~blocks:40 () in
-  let gb = Crs_algorithms.Greedy_balance.makespan inst in
+  let gb = Crs_kernels.Greedy_balance.makespan inst in
   Alcotest.(check int) "prediction holds at scale"
     (Crs_generators.Adversarial.greedy_balance_family_predicted ~m:6 ~blocks:40)
     gb;
@@ -16,7 +16,7 @@ let test_greedy_on_large_family () =
 let test_round_robin_closed_form_large () =
   let inst = Crs_generators.Adversarial.round_robin_family ~n:1000 in
   Alcotest.(check int) "RR = 2n at n=1000" 2000
-    (Crs_algorithms.Round_robin.predicted_makespan_unit inst);
+    (Crs_kernels.Round_robin.predicted_makespan_unit inst);
   let witness =
     Execution.run_exn inst
       (Crs_generators.Adversarial.round_robin_family_opt_schedule ~n:1000)
@@ -32,8 +32,8 @@ let test_opt_two_medium () =
         Array.init 150 (fun _ -> Q.of_ints (1 + Random.State.int st 100) 100))
   in
   let inst = Instance.of_requirements rows in
-  let dp = Crs_algorithms.Opt_two.makespan inst in
-  let pq = Crs_algorithms.Opt_two_pq.makespan inst in
+  let dp = Crs_kernels.Opt_two.makespan inst in
+  let pq = Crs_kernels.Opt_two_pq.makespan inst in
   Alcotest.(check int) "dp = pq at n=150" dp pq;
   Alcotest.(check bool) "within bounds" true
     (dp >= Lower_bounds.combined inst && dp <= 300)
