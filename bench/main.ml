@@ -6,19 +6,21 @@
    DESIGN.md section 5 for the index and EXPERIMENTS.md for recorded
    results). Run `dune exec bench/main.exe` for all experiments, pass an
    experiment id (f1 f2 f3 f4 f5 t3 t5 t6 t7 l56 mc ext bp dc fa mr
-   ablation campaign registry num obs dp) to run one, `micro` for the
-   Bechamel runtime micro-benchmarks, or `smoke` for a tiny-n pass over
-   the gated experiments (num obs dp registry) that judges no timing
-   gates — this is what `dune build @bench-smoke` runs. `num` also
-   accepts `--check` (fast differential sample only) and
-   `--record-baseline` (write data/num_baseline.json for the speedup
-   gate). *)
+   ablation campaign registry serve fuzz num obs dp) to run one, `micro`
+   for the Bechamel runtime micro-benchmarks, or `smoke` for a tiny-n
+   pass over the gated experiments that judges no timing gates — `dune
+   runtest` runs it. `num` also accepts `--check` (fast differential
+   sample only) and `--record-baseline` (write data/num_baseline.json
+   for the speedup gate). Every gated experiment times through
+   Harness.paired / Harness.time_min and writes its BENCH_<id>.json
+   through Harness.write_json (bench/harness). *)
 
 module Q = Crs_num.Rational
 open Crs_core
 module A = Crs_generators.Adversarial
 module T = Crs_render.Table
 module R = Crs_algorithms.Registry
+module J = Crs_util.Stable_json
 
 (* Name-based dispatch through the solver registry; experiments that
    exercise a specific implementation detail (pruning flags, tie-break
@@ -704,12 +706,13 @@ let exp_ablation () =
 
 (* ---------- campaign: parallel batch-evaluation subsystem ---------- *)
 
-let exp_campaign () =
+let exp_campaign ?(mode = `Run) () =
   banner "campaign" "work-stealing campaign executor (sequential vs parallel)"
     "greedy-vs-opt ratio sweeps (t5/t6 style) fan out across the Chase-Lev \
      work-stealing executor; payloads and trace signatures are byte-identical \
      at any pool size";
   let module C = Crs_campaign in
+  let seed_hi, reps = match mode with `Run -> (60, 9) | `Smoke -> (6, 2) in
   let spec =
     {
       C.Spec.family = C.Spec.Uniform;
@@ -717,7 +720,7 @@ let exp_campaign () =
       n = 4;
       granularity = 10;
       seed_lo = 1;
-      seed_hi = 60;
+      seed_hi;
       algorithms =
         [
           Crs_algorithms.Registry.Names.greedy_balance;
@@ -730,77 +733,51 @@ let exp_campaign () =
   let items = Array.length (C.Spec.expand spec) in
   let hardware_cores = Domain.recommended_domain_count () in
   let domains = 4 in
-  let run_seq () = C.Runner.run ~domains:1 spec in
-  let run_par () = C.Runner.run ~domains spec in
-  (* Paired-reps methodology (same as BENCH_num/BENCH_obs): every timed
-     region starts from a settled GC, each rep times both variants
-     back-to-back with the order alternating, and the gate uses the
-     MEDIAN of the per-rep ratios — machine-speed drift hits both halves
-     of a pair, and reps where a slow phase lands between the halves are
-     discarded by the median. *)
-  let time f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+  let sequential = C.Runner.run ~domains:1 spec in
+  let seq_digest = C.Report.payload_digest sequential in
+  (* The executor is created once, outside the timed region, so the
+     parallel side pays for submitting, stealing and parking, not for
+     spawning and joining domains. Its idle workers stay alive while
+     the sequential side runs too, as they would in a long-lived
+     process. Digests are checked after timing. *)
+  let par_runs = ref [] in
+  let p, (exec_pushes, exec_steals, exec_parks) =
+    Crs_exec.Exec.with_exec ~domains (fun ex ->
+        let p =
+          Harness.paired ~clock:Harness.wall ~reps
+            (fun () -> par_runs := C.Runner.run_on ex spec :: !par_runs)
+            (fun () -> C.Runner.run ~domains:1 spec)
+        in
+        (* Executor behavior under this workload, via the crs_obs
+           counters the executor records (zero-cost while the timed
+           reps above ran untraced). *)
+        Crs_obs.Metrics.reset ();
+        Crs_obs.Metrics.set_enabled true;
+        ignore (C.Runner.run_on ex spec);
+        Crs_obs.Metrics.set_enabled false;
+        let mval name = Crs_obs.Metrics.counter_value (Crs_obs.Metrics.counter name) in
+        let counts = (mval "exec.push", mval "exec.steal", mval "exec.park") in
+        Crs_obs.Metrics.reset ();
+        (p, counts))
   in
-  (* Warmup: first runs in a process carry heap sizing + domain spawn
-     cold costs; keep every retained rep in the stable position. *)
-  ignore (run_seq ());
-  ignore (run_par ());
-  let reps = 9 in
-  let ratios = Array.make reps 0.0 in
-  let seq_best = ref infinity and par_best = ref infinity in
-  let payloads_identical = ref true in
-  let seq_digest = ref "" in
-  for i = 0 to reps - 1 do
-    let (seq, seq_s), (par, par_s) =
-      if i land 1 = 0 then
-        let s = time run_seq in
-        (s, time run_par)
-      else
-        let p = time run_par in
-        (time run_seq, p)
-    in
-    if seq_s < !seq_best then seq_best := seq_s;
-    if par_s < !par_best then par_best := par_s;
-    ratios.(i) <- seq_s /. Float.max par_s 1e-9;
-    seq_digest := C.Report.payload_digest seq;
-    payloads_identical :=
-      !payloads_identical && String.equal !seq_digest (C.Report.payload_digest par)
-  done;
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
+  let payloads_identical =
+    List.for_all (fun r -> String.equal seq_digest (C.Report.payload_digest r)) !par_runs
   in
-  let speedup = median ratios in
+  let speedup = p.Harness.ratio in
   let rate t = float_of_int items /. Float.max t 1e-9 in
   print_string
     (T.render
        ~header:[ "mode"; "items"; "best wall s"; "items/s" ]
        [
-         [ "sequential"; string_of_int items; Printf.sprintf "%.3f" !seq_best;
-           Printf.sprintf "%.1f" (rate !seq_best) ];
+         [ "sequential"; string_of_int items; Printf.sprintf "%.3f" p.Harness.b_s;
+           Printf.sprintf "%.1f" (rate p.Harness.b_s) ];
          [ Printf.sprintf "executor (%d domains)" domains; string_of_int items;
-           Printf.sprintf "%.3f" !par_best; Printf.sprintf "%.1f" (rate !par_best) ];
+           Printf.sprintf "%.3f" p.Harness.a_s; Printf.sprintf "%.1f" (rate p.Harness.a_s) ];
        ]);
-  (* Executor behavior under this workload, via the crs_obs counters the
-     executor records (zero-cost while the benches above ran untraced). *)
-  Crs_obs.Metrics.reset ();
-  Crs_obs.Metrics.set_enabled true;
-  ignore (run_par ());
-  Crs_obs.Metrics.set_enabled false;
-  let mval name = Crs_obs.Metrics.counter_value (Crs_obs.Metrics.counter name) in
-  let exec_pushes = mval "exec.push" in
-  let exec_steals = mval "exec.steal" in
-  let exec_parks = mval "exec.park" in
-  Crs_obs.Metrics.reset ();
   (* Trace signatures must be byte-identical at any pool size: the spans
      are keyed by item id, not by which worker stole what. A smaller
      sweep keeps the traced runs cheap. *)
-  let sig_spec = { spec with C.Spec.seed_hi = 12 } in
+  let sig_spec = { spec with C.Spec.seed_hi = min seed_hi 12 } in
   let signature_at domains =
     Crs_obs.Trace.reset ();
     Crs_obs.Trace.set_enabled true;
@@ -814,9 +791,9 @@ let exp_campaign () =
   let trace_signature_identical =
     String.equal sig_1 (signature_at 2) && String.equal sig_1 (signature_at domains)
   in
-  let summary = C.Report.summarize (run_seq ()) in
+  let summary = C.Report.summarize sequential in
   (* On a box with fewer cores than domains the parallel run just
-     time-slices one core; the ratio measures executor overhead, not
+     time-slices the cores; the ratio measures executor overhead, not
      scaling, and must not be read as a speedup claim. Both the detected
      core count and the domain count actually used are recorded so the
      flag is auditable. *)
@@ -824,9 +801,9 @@ let exp_campaign () =
   let speedup_gate = 1.8 in
   let gate_met = (not speedup_meaningful) || speedup >= speedup_gate in
   Printf.printf
-    "speedup %.2fx median of %d paired reps on %d domains (%d hardware core%s \
-     detected)%s\n"
-    speedup reps domains hardware_cores
+    "speedup %.2fx (IQR %.2f) median of %d paired reps on a persistent %d-domain \
+     executor (%d hardware core%s detected)%s\n"
+    speedup p.Harness.ratio_iqr reps domains hardware_cores
     (if hardware_cores = 1 then "" else "s")
     (if speedup_meaningful then
        Printf.sprintf " — gate >= %.1fx: %s" speedup_gate
@@ -843,26 +820,34 @@ let exp_campaign () =
     (match summary.C.Report.mean_ratio with
     | Some r -> Printf.sprintf "%.4f" r
     | None -> "-");
-  let json =
-    Printf.sprintf
-      "{\"items\":%d,\"domains\":%d,\"domains_used\":%d,\"hardware_cores\":%d,\
-       \"reps\":%d,\"sequential_s\":%.6f,\"parallel_s\":%.6f,\
-       \"sequential_items_per_s\":%.2f,\"parallel_items_per_s\":%.2f,\
-       \"speedup\":%.4f,\"speedup_gate\":%.2f,\"gate_met\":%b,\
-       \"speedup_meaningful\":%b,\"payloads_identical\":%b,\
-       \"trace_signature_identical\":%b,\"exec_pushes\":%d,\
-       \"exec_steals\":%d,\"exec_parks\":%d}\n"
-      items domains domains hardware_cores reps !seq_best !par_best
-      (rate !seq_best) (rate !par_best) speedup speedup_gate gate_met
-      speedup_meaningful !payloads_identical trace_signature_identical
-      exec_pushes exec_steals exec_parks
-  in
-  Out_channel.with_open_text "BENCH_campaign.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote BENCH_campaign.json\n";
-  assert !payloads_identical;
+  assert payloads_identical;
   assert trace_signature_identical;
-  assert gate_met
+  match mode with
+  | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
+  | `Run ->
+    Harness.write_json "BENCH_campaign.json"
+      [
+        ("items", J.int items);
+        ("domains", J.int domains);
+        ("domains_used", J.int domains);
+        ("hardware_cores", J.int hardware_cores);
+        ("reps", J.int reps);
+        ("sequential_s", J.float p.Harness.b_s);
+        ("parallel_s", J.float p.Harness.a_s);
+        ("sequential_items_per_s", J.float (rate p.Harness.b_s));
+        ("parallel_items_per_s", J.float (rate p.Harness.a_s));
+        ("speedup", J.float speedup);
+        ("speedup_iqr", J.float p.Harness.ratio_iqr);
+        ("speedup_gate", J.float speedup_gate);
+        ("gate_met", J.bool gate_met);
+        ("speedup_meaningful", J.bool speedup_meaningful);
+        ("payloads_identical", J.bool payloads_identical);
+        ("trace_signature_identical", J.bool trace_signature_identical);
+        ("exec_pushes", J.int exec_pushes);
+        ("exec_steals", J.int exec_steals);
+        ("exec_parks", J.int exec_parks);
+      ];
+    assert gate_met
 
 (* ---------- serve: solver-as-a-service daemon ---------- *)
 
@@ -875,7 +860,6 @@ let exp_serve ?(mode = `Run) () =
   let module S = Crs_serve.Server in
   let module L = Crs_serve.Loadgen in
   let module P = Crs_serve.Protocol in
-  let module J = Crs_util.Stable_json in
   let closed_n, poisson_n, bursty_n, conns, multi_n, ident_per_conn =
     match mode with
     | `Run -> (400, 300, 300, 4, 400, 25)
@@ -1392,74 +1376,69 @@ let exp_serve ?(mode = `Run) () =
           ("max_us", J.int (lat_int kind "max_us"));
         ]
     in
-    let json =
-      J.obj
-        [
-          ("closed_loop", stats_obj closed);
-          ("poisson", stats_obj poisson);
-          ("bursty", stats_obj bursty);
-          ( "multi_conn",
-            J.obj
-              [
-                ("conns", J.int conns);
-                ("sent", J.int multi.L.sent);
-                ("received", J.int multi.L.received);
-                ("throughput_rps", J.float multi.L.throughput_rps);
-                ("p50_ms", J.float multi.L.p50_ms);
-                ("p99_ms", J.float multi.L.p99_ms);
-                ("byte_identical", J.bool concurrent_byte_identical);
-              ] );
-          ( "latency_us",
-            J.obj (List.map (fun kind -> (kind, lat_obj kind)) lat_kinds) );
-          ( "connections",
-            J.obj [ ("accepted", J.int accepted); ("refused", J.int refused) ]
-          );
-          ( "cache",
-            J.obj
-              [
-                ("hits", J.int hits);
-                ("misses", J.int misses);
-                ("hit_rate", J.float hit_rate);
-              ] );
-          ("byte_identical", J.bool byte_identical);
-          ( "sharded",
-            J.obj
-              [
-                ("shards", J.int shards3);
-                ("sent", J.int sharded.L.sent);
-                ("received", J.int sharded.L.received);
-                ("throughput_rps", J.float sharded.L.throughput_rps);
-                ("p50_ms", J.float sharded.L.p50_ms);
-                ("p99_ms", J.float sharded.L.p99_ms);
-                ("cold_hit_rate", J.float !cold_hit_rate);
-                ("warm_hit_rate", J.float !warm_hit_rate);
-                ("warm_replayed", J.int !warm_replayed);
-                ("restarts", J.int !restart_restarts);
-                ("refused_during_outage", J.int !restart_refused);
-                ("byte_identical", J.bool sharded_byte_identical);
-              ] );
-          ( "gates",
-            J.obj
-              [
-                ("throughput", J.bool gate_throughput);
-                ("multi_conn_throughput", J.bool gate_multi_throughput);
-                ("p99", J.bool gate_p99);
-                ("per_kind_p99", J.bool gate_per_kind_p99);
-                ("cache_hit_rate", J.bool gate_cache);
-                ("all_answered", J.bool gate_complete);
-                ("byte_identical", J.bool byte_identical);
-                ("concurrent_byte_identical", J.bool concurrent_byte_identical);
-                ("conn_accounting", J.bool gate_accounting);
-                ("sharded_throughput", J.bool gate_sharded_throughput);
-                ("sharded_byte_identical", J.bool sharded_byte_identical);
-                ("warm_hit_rate_gt_cold", J.bool gate_warm);
-                ("restart_accounting", J.bool gate_restart);
-              ] );
-        ]
-    in
-    Out_channel.with_open_text "BENCH_serve.json" (fun oc ->
-        Out_channel.output_string oc (json ^ "\n"));
-    Printf.printf "wrote BENCH_serve.json\n";
+    Harness.write_json "BENCH_serve.json"
+      [
+        ("closed_loop", stats_obj closed);
+        ("poisson", stats_obj poisson);
+        ("bursty", stats_obj bursty);
+        ( "multi_conn",
+          J.obj
+            [
+              ("conns", J.int conns);
+              ("sent", J.int multi.L.sent);
+              ("received", J.int multi.L.received);
+              ("throughput_rps", J.float multi.L.throughput_rps);
+              ("p50_ms", J.float multi.L.p50_ms);
+              ("p99_ms", J.float multi.L.p99_ms);
+              ("byte_identical", J.bool concurrent_byte_identical);
+            ] );
+        ( "latency_us",
+          J.obj (List.map (fun kind -> (kind, lat_obj kind)) lat_kinds) );
+        ( "connections",
+          J.obj [ ("accepted", J.int accepted); ("refused", J.int refused) ]
+        );
+        ( "cache",
+          J.obj
+            [
+              ("hits", J.int hits);
+              ("misses", J.int misses);
+              ("hit_rate", J.float hit_rate);
+            ] );
+        ("byte_identical", J.bool byte_identical);
+        ( "sharded",
+          J.obj
+            [
+              ("shards", J.int shards3);
+              ("sent", J.int sharded.L.sent);
+              ("received", J.int sharded.L.received);
+              ("throughput_rps", J.float sharded.L.throughput_rps);
+              ("p50_ms", J.float sharded.L.p50_ms);
+              ("p99_ms", J.float sharded.L.p99_ms);
+              ("cold_hit_rate", J.float !cold_hit_rate);
+              ("warm_hit_rate", J.float !warm_hit_rate);
+              ("warm_replayed", J.int !warm_replayed);
+              ("restarts", J.int !restart_restarts);
+              ("refused_during_outage", J.int !restart_refused);
+              ("byte_identical", J.bool sharded_byte_identical);
+            ] );
+        ( "gates",
+          J.obj
+            [
+              ("throughput", J.bool gate_throughput);
+              ("multi_conn_throughput", J.bool gate_multi_throughput);
+              ("p99", J.bool gate_p99);
+              ("per_kind_p99", J.bool gate_per_kind_p99);
+              ("cache_hit_rate", J.bool gate_cache);
+              ("all_answered", J.bool gate_complete);
+              ("byte_identical", J.bool byte_identical);
+              ("concurrent_byte_identical", J.bool concurrent_byte_identical);
+              ("conn_accounting", J.bool gate_accounting);
+              ("sharded_throughput", J.bool gate_sharded_throughput);
+              ("sharded_byte_identical", J.bool sharded_byte_identical);
+              ("warm_hit_rate_gt_cold", J.bool gate_warm);
+              ("restart_accounting", J.bool gate_restart);
+            ] );
+      ];
     assert (gate_throughput && gate_multi_throughput && gate_p99
             && gate_per_kind_p99 && gate_cache && gate_complete
             && byte_identical && concurrent_byte_identical && gate_accounting
@@ -1472,76 +1451,58 @@ let exp_registry ?(mode = `Run) () =
   banner "registry" "solver-registry dispatch overhead"
     "capability-checked registry dispatch costs <= 5% over calling Opt_two directly";
   let solver = R.find_exn R.Names.opt_two in
-  (* min over repetitions: robust against scheduler noise. *)
-  let time_min ~reps f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (f ());
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
   let sizes, reps =
-    match mode with `Run -> ([ 50; 100; 200; 400 ], 7) | `Smoke -> ([ 20; 40 ], 2)
+    match mode with `Run -> ([ 50; 100; 200; 400 ], 41) | `Smoke -> ([ 20; 40 ], 2)
   in
-  let total_direct = ref 0.0 and total_via = ref 0.0 in
-  let rows =
-    List.map
-      (fun n ->
-        let instance = A.round_robin_family ~n in
-        (* Both sides do the full solve including witness replay, so the
-           measured gap is exactly the registry layer: the find +
-           capability check + counters/fuel bookkeeping. *)
-        ignore (Crs_kernels.Opt_two.solve instance) (* warm-up *);
-        let direct =
-          time_min ~reps (fun () ->
-              (Crs_kernels.Opt_two.solve instance).Crs_kernels.Opt_two.makespan)
-        in
-        let via = time_min ~reps (fun () -> (R.solve solver instance).R.makespan) in
-        assert (
-          (Crs_kernels.Opt_two.solve instance).Crs_kernels.Opt_two.makespan
-          = (R.solve solver instance).R.makespan);
-        total_direct := !total_direct +. direct;
-        total_via := !total_via +. via;
-        [
-          string_of_int n;
-          Printf.sprintf "%.3f" (direct *. 1000.);
-          Printf.sprintf "%.3f" (via *. 1000.);
-          Printf.sprintf "%+.2f%%" ((via -. direct) /. direct *. 100.);
-        ])
-      sizes
+  let instances = List.map (fun n -> A.round_robin_family ~n) sizes in
+  List.iter
+    (fun i ->
+      assert (
+        (Crs_kernels.Opt_two.solve i).Crs_kernels.Opt_two.makespan
+        = (R.solve solver i).R.makespan))
+    instances;
+  (* Both sides do the full solve including witness replay, so the
+     measured gap is exactly the registry layer: the find + capability
+     check + counters/fuel bookkeeping. Each rep times the whole size
+     sweep on both sides. *)
+  let sweep solve () = List.iter (fun i -> ignore (Sys.opaque_identity (solve i))) instances in
+  let p =
+    Harness.paired ~clock:Harness.cpu ~reps
+      (sweep Crs_kernels.Opt_two.solve)
+      (sweep (R.solve solver))
   in
-  print_string
-    (T.render ~header:[ "n (Fig. 3 family)"; "direct ms"; "registry ms"; "overhead" ] rows);
-  let overhead_pct = (!total_via -. !total_direct) /. !total_direct *. 100. in
+  let overhead_pct = (p.Harness.ratio -. 1.0) *. 100. in
+  let iqr_pct = p.Harness.ratio_iqr *. 100. in
   let budget_pct = 5.0 in
-  Printf.printf "aggregate dispatch overhead %+.2f%% (budget %.1f%%)\n" overhead_pct
+  Printf.printf
+    "sweep n in {%s}: direct %.3f ms, registry %.3f ms (best of %d paired reps)\n\
+     dispatch overhead %+.2f%% median, IQR %.2f points (budget %.1f%%)\n"
+    (String.concat "," (List.map string_of_int sizes))
+    (p.Harness.a_s *. 1000.) (p.Harness.b_s *. 1000.) reps overhead_pct iqr_pct
     budget_pct;
   match mode with
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, budget not judged\n"
   | `Run ->
-    let json =
-      Printf.sprintf
-        "{\"sizes\":[%s],\"reps\":%d,\"direct_s\":%.6f,\"registry_s\":%.6f,\
-         \"overhead_pct\":%.4f,\"budget_pct\":%.1f,\"within_budget\":%b}\n"
-        (String.concat "," (List.map string_of_int sizes))
-        reps !total_direct !total_via overhead_pct budget_pct
-        (overhead_pct <= budget_pct)
-    in
-    Out_channel.with_open_text "BENCH_registry.json" (fun oc ->
-        Out_channel.output_string oc json);
-    Printf.printf "wrote BENCH_registry.json\n";
+    Harness.write_json "BENCH_registry.json"
+      [
+        ("sizes", J.arr (List.map J.int sizes));
+        ("reps", J.int reps);
+        ("direct_s", J.float p.Harness.a_s);
+        ("registry_s", J.float p.Harness.b_s);
+        ("overhead_pct", J.float overhead_pct);
+        ("overhead_iqr_pct", J.float iqr_pct);
+        ("budget_pct", J.float budget_pct);
+        ("within_budget", J.bool (overhead_pct <= budget_pct));
+      ];
     assert (overhead_pct <= budget_pct)
 
 (* ---------- fuzz: certifier throughput + gate ---------- *)
 
-let exp_fuzz () =
+let exp_fuzz ?(mode = `Run) () =
   banner "fuzz" "independent schedule-certifier throughput"
     "Certify.check re-validates every greedy-balance witness from scratch";
   let spec = { Crs_campaign.Spec.default with m = 4; n = 6; granularity = 12 } in
-  let count = 200 in
+  let count, rounds = match mode with `Run -> (200, 5) | `Smoke -> (20, 1) in
   let solver = R.find_exn R.Names.greedy_balance in
   let witnesses =
     Array.init count (fun i ->
@@ -1560,7 +1521,6 @@ let exp_fuzz () =
       witnesses
   in
   ignore (certify_all ()) (* warm-up *);
-  let rounds = 5 in
   let all_certified = ref true in
   let t0 = Unix.gettimeofday () in
   for _ = 1 to rounds do
@@ -1572,129 +1532,86 @@ let exp_fuzz () =
   Printf.printf
     "certified %d witnesses (%d instances x %d rounds) in %.3fs: %.0f/s, all_certified=%b\n"
     certified count rounds certify_s certified_per_s !all_certified;
-  let json =
-    Printf.sprintf
-      "{\"instances\":%d,\"rounds\":%d,\"certify_s\":%.6f,\
-       \"certified_per_s\":%.1f,\"all_certified\":%b}\n"
-      count rounds certify_s certified_per_s !all_certified
-  in
-  Out_channel.with_open_text "BENCH_fuzz.json" (fun oc ->
-      Out_channel.output_string oc json);
-  Printf.printf "wrote BENCH_fuzz.json\n";
-  assert !all_certified
+  assert !all_certified;
+  match mode with
+  | `Smoke -> Printf.printf "smoke run: timings carry no signal\n"
+  | `Run ->
+    Harness.write_json "BENCH_fuzz.json"
+      [
+        ("instances", J.int count);
+        ("rounds", J.int rounds);
+        ("certify_s", J.float certify_s);
+        ("certified_per_s", J.float certified_per_s);
+        ("all_certified", J.bool !all_certified);
+      ]
 
 (* ---------- num: number-layer throughput + gate ---------- *)
-
-(* Minimal field extractor for the flat one-line JSON files this harness
-   writes; no JSON dependency is installed. *)
-let json_number_field text key =
-  let needle = "\"" ^ key ^ "\":" in
-  let n = String.length text and m = String.length ("\"" ^ key ^ "\":") in
-  let rec find i =
-    if i + m > n then None
-    else if String.equal (String.sub text i m) needle then Some (i + m)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start ->
-    let stop = ref start in
-    while
-      !stop < n
-      &&
-      match text.[!stop] with
-      | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-      | _ -> false
-    do
-      incr stop
-    done;
-    if !stop = start then None
-    else float_of_string_opt (String.sub text start (!stop - start))
 
 let num_baseline_path = "data/num_baseline.json"
 
 (* The per-op loops run on paper-style operands: requirement-sized
    fractions with denominators <= 12, i.e. the small tier once the
    two-tier representation lands. *)
-let num_measure () =
+let num_measure ~iters ~sum_reps ~opt_two_n ~brute_n =
   let pool_size = 1024 in
   let pool =
     Array.init pool_size (fun i -> Q.of_ints ((i mod 23) - 11) ((i mod 12) + 1))
   in
-  let per_op name iters f =
-    (* Start every timed section from a compacted heap: the sections
-       differ wildly in allocation profile, and inherited GC state
-       otherwise skews later sections by 2x. *)
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    for k = 0 to iters - 1 do
-      ignore (Sys.opaque_identity (f pool.(k land 1023) pool.((k * 7 + 3) land 1023)))
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    (name, dt /. float_of_int iters *. 1e9)
-  in
-  let time_min ~reps f =
-    Gc.compact ();
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Unix.gettimeofday () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Unix.gettimeofday () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
+  let per_op name f =
+    let s =
+      Harness.time_min ~reps:3 (fun () ->
+          for k = 0 to iters - 1 do
+            ignore (Sys.opaque_identity (f pool.(k land 1023) pool.((k * 7 + 3) land 1023)))
+          done)
+    in
+    (name, s /. float_of_int iters *. 1e9)
   in
   let ops =
     [
-      per_op "add" 1_000_000 Q.add;
-      per_op "mul" 1_000_000 Q.mul;
-      per_op "compare" 1_000_000 (fun a b -> Q.of_int (Q.compare a b));
+      per_op "add" Q.add;
+      per_op "mul" Q.mul;
+      per_op "compare" (fun a b -> Q.of_int (Q.compare a b));
       ( "sum500",
-        (Gc.compact ();
-         let t0 = Unix.gettimeofday () in
-         for _ = 1 to 20 do
-           ignore
-             (Sys.opaque_identity
-                (Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1)))))
-         done;
-         (Unix.gettimeofday () -. t0) /. 20. *. 1e9) );
+        Harness.time_min ~reps:sum_reps (fun () ->
+            Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1))))
+        *. 1e9 );
     ]
   in
-  let opt_two_n = 1200 in
   let fig3_big = A.round_robin_family ~n:opt_two_n in
   ignore (Crs_kernels.Opt_two.makespan fig3_big) (* warm-up *);
   let opt_two_s =
-    time_min ~reps:3 (fun () -> Crs_kernels.Opt_two.makespan fig3_big)
+    Harness.time_min ~reps:3 (fun () -> Crs_kernels.Opt_two.makespan fig3_big)
   in
-  let brute_n = 800 in
   let fig3_small = A.round_robin_family ~n:brute_n in
   let brute_s =
-    time_min ~reps:3 (fun () ->
+    Harness.time_min ~reps:3 (fun () ->
         Crs_kernels.Brute_force.makespan ~node_limit:20_000_000 fig3_small)
   in
-  (ops, opt_two_n, opt_two_s, brute_n, brute_s)
-
-let num_json ops opt_two_n opt_two_s brute_n brute_s =
-  Printf.sprintf
-    "{%s,\"opt_two_n\":%d,\"opt_two_s\":%.6f,\"brute_n\":%d,\"brute_s\":%.6f}"
-    (String.concat ","
-       (List.map (fun (name, ns) -> Printf.sprintf "\"%s_ns\":%.2f" name ns) ops))
-    opt_two_n opt_two_s brute_n brute_s
+  (ops, opt_two_s, brute_s)
 
 let exp_num ?(mode = `Run) () =
   banner "num" "exact-rational number layer (two-tier small/bigint fast path)"
     "no measured claim; gate: >= 2x end-to-end Opt_two on the Figure-3 family \
      vs the pre-change baseline, exactness pinned by a differential suite";
-  match mode with
-  | `Check ->
+  let differential () =
     let t0 = Unix.gettimeofday () in
     let outcome = Crs_num.Check.run ~ops:10_000 ~seed:2024 () in
     let dt = Unix.gettimeofday () -. t0 in
     Printf.printf "differential check: %s in %.3fs (budget 1s)\n"
       (Crs_num.Check.describe outcome) dt;
+    (outcome, dt)
+  in
+  match mode with
+  | `Check ->
+    let outcome, dt = differential () in
     if not (Crs_num.Check.ok outcome) || dt >= 1.0 then exit 1
-  | (`Record | `Run) as mode -> (
-    let ops, opt_two_n, opt_two_s, brute_n, brute_s = num_measure () in
+  | (`Record | `Run | `Smoke) as mode -> (
+    let iters, sum_reps, opt_two_n, brute_n =
+      match mode with
+      | `Smoke -> (10_000, 1, 60, 40)
+      | `Record | `Run -> (1_000_000, 20, 1200, 800)
+    in
+    let ops, opt_two_s, brute_s = num_measure ~iters ~sum_reps ~opt_two_n ~brute_n in
     print_string
       (T.render
          ~header:[ "operation"; "ns/op (small operands)" ]
@@ -1703,98 +1620,80 @@ let exp_num ?(mode = `Run) () =
       opt_two_n opt_two_s brute_n brute_s;
     match mode with
     | `Record ->
-      Out_channel.with_open_text num_baseline_path (fun oc ->
-          Out_channel.output_string oc
-            (num_json ops opt_two_n opt_two_s brute_n brute_s ^ "\n"));
-      Printf.printf "recorded pre-change baseline to %s\n" num_baseline_path
-    | `Run ->
-      let outcome = Crs_num.Check.run ~ops:10_000 ~seed:2024 () in
-      Printf.printf "differential check: %s\n" (Crs_num.Check.describe outcome);
+      Harness.write_json num_baseline_path
+        (List.map (fun (name, ns) -> (name ^ "_ns", J.float ns)) ops
+        @ [
+            ("opt_two_n", J.int opt_two_n);
+            ("opt_two_s", J.float opt_two_s);
+            ("brute_n", J.int brute_n);
+            ("brute_s", J.float brute_s);
+          ])
+    | (`Run | `Smoke) as mode ->
+      let outcome, _ = differential () in
       let baseline =
-        In_channel.with_open_text num_baseline_path In_channel.input_all
+        match J.parse (In_channel.with_open_text num_baseline_path In_channel.input_all) with
+        | Ok json -> json
+        | Error msg -> failwith (Printf.sprintf "%s: %s" num_baseline_path msg)
       in
       let field key =
-        match json_number_field baseline key with
-        | Some v -> v
-        | None -> failwith (Printf.sprintf "%s: missing %s" num_baseline_path key)
+        match J.member key baseline with
+        | Some (J.Float v) -> v
+        | Some (J.Int v) -> float_of_int v
+        | _ -> failwith (Printf.sprintf "%s: missing %s" num_baseline_path key)
       in
       let b_opt_two = field "opt_two_s" and b_brute = field "brute_s" in
       let opt_two_speedup = b_opt_two /. Float.max opt_two_s 1e-9 in
       let brute_speedup = b_brute /. Float.max brute_s 1e-9 in
       let gate = 2.0 in
       let gate_met = opt_two_speedup >= gate in
-      let op_line (name, ns) =
+      let op_obj (name, ns) =
         let base = field (name ^ "_ns") in
-        Printf.sprintf
-          "\"%s\":{\"now_ns\":%.2f,\"baseline_ns\":%.2f,\"speedup\":%.2f}" name ns
-          base (base /. Float.max ns 1e-9)
+        ( name,
+          J.obj
+            [
+              ("now_ns", J.float ns);
+              ("baseline_ns", J.float base);
+              ("speedup", J.float (base /. Float.max ns 1e-9));
+            ] )
       in
-      let json =
-        Printf.sprintf
-          "{\"ops\":{%s},\"opt_two_n\":%.0f,\"opt_two_s\":%.6f,\
-           \"opt_two_baseline_s\":%.6f,\"opt_two_speedup\":%.4f,\"brute_n\":%.0f,\
-           \"brute_s\":%.6f,\"brute_baseline_s\":%.6f,\"brute_speedup\":%.4f,\
-           \"differential_ops\":%d,\"differential_ok\":%b,\"gate\":%.1f,\
-           \"gate_met\":%b}\n"
-          (String.concat "," (List.map op_line ops))
-          (field "opt_two_n") opt_two_s b_opt_two opt_two_speedup (field "brute_n")
-          brute_s b_brute brute_speedup outcome.Crs_num.Check.ops
-          (Crs_num.Check.ok outcome) gate gate_met
-      in
-      Out_channel.with_open_text "BENCH_num.json" (fun oc ->
-          Out_channel.output_string oc json);
+      let op_objs = List.map op_obj ops in
       Printf.printf
         "speedup vs pre-change baseline: opt_two %.2fx, brute_force %.2fx (gate \
          %.1fx on opt_two: %s)\n"
         opt_two_speedup brute_speedup gate
         (if gate_met then "met" else "NOT MET");
-      Printf.printf "wrote BENCH_num.json\n";
       assert (Crs_num.Check.ok outcome);
-      assert gate_met)
+      match mode with
+      | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
+      | `Run ->
+        Harness.write_json "BENCH_num.json"
+          [
+            ("ops", J.obj op_objs);
+            ("opt_two_n", J.int opt_two_n);
+            ("opt_two_s", J.float opt_two_s);
+            ("opt_two_baseline_s", J.float b_opt_two);
+            ("opt_two_speedup", J.float opt_two_speedup);
+            ("brute_n", J.int brute_n);
+            ("brute_s", J.float brute_s);
+            ("brute_baseline_s", J.float b_brute);
+            ("brute_speedup", J.float brute_speedup);
+            ("differential_ops", J.int outcome.Crs_num.Check.ops);
+            ("differential_ok", J.bool (Crs_num.Check.ok outcome));
+            ("gate", J.float gate);
+            ("gate_met", J.bool gate_met);
+          ];
+        assert gate_met)
 
 (* ---------- obs: instrumentation-overhead gate ---------- *)
-
-(* CPU model and logical CPU count, recorded next to the timings. *)
-let host () =
-  let lines =
-    try
-      In_channel.with_open_text "/proc/cpuinfo" In_channel.input_all
-      |> String.split_on_char '\n'
-    with Sys_error _ -> []
-  in
-  let model =
-    List.find_map
-      (fun l ->
-        if String.starts_with ~prefix:"model name" l then
-          Option.map
-            (fun i -> String.trim (String.sub l (i + 1) (String.length l - i - 1)))
-            (String.index_opt l ':')
-        else None)
-      lines
-  in
-  ( Option.value model ~default:"unknown",
-    Domain.recommended_domain_count () )
 
 (* The kernels in crs_kernels cannot link crs_obs, so the only hooks a
    solve passes are Registry.solve's root span and counters. The gate
    times that boundary against the kernel it wraps: Opt_two.solve
    called directly (baseline) vs Registry.solve on opt-two (measured),
-   first with tracing and metrics disabled, then enabled. Both run in
-   the SAME process with rep-interleaved timing, so machine-speed drift
-   — which moves wall AND CPU-time minima several percent between
-   processes on shared hardware, far above the 2% bound being checked —
-   hits both sides identically and cancels out of the ratio. Per-rep
-   CPU time keeps scheduler noise out of the minima. *)
+   first with tracing and metrics disabled, then enabled, as paired
+   reps on CPU time (scheduler noise stays out of single-domain
+   regions). *)
 let obs_measure ~opt_two_n ~reps ~warmups =
-  let cpu_s f =
-    (* Start every timed call from the same GC state: otherwise the
-       major slices owed by the PREVIOUS call land inside this one and
-       per-rep times swing by several percent. *)
-    Gc.full_major ();
-    let t0 = Crs_obs.Clock.cputime_ns () in
-    ignore (Sys.opaque_identity (f ()));
-    Int64.to_float (Int64.sub (Crs_obs.Clock.cputime_ns ()) t0) /. 1e9
-  in
   let fig3 = A.round_robin_family ~n:opt_two_n in
   let opt_two = R.find_exn R.Names.opt_two in
   let kernel () = Crs_kernels.Opt_two.solve fig3 in
@@ -1804,60 +1703,19 @@ let obs_measure ~opt_two_n ~reps ~warmups =
     Crs_obs.Metrics.set_enabled on
   in
   set_obs false;
-  (* Throwaway pass first: the first dozen solves in a process run
-     10-15% slower while the heap sizes itself, so every retained rep
-     sits in the stable late-process position. *)
-  for _ = 1 to warmups do
-    ignore (cpu_s kernel);
-    ignore (cpu_s registry)
-  done;
-  Gc.compact ();
-  (* Paired reps: each rep times both sides back-to-back (order
-     alternating, so GC pacing and slow phases hit both positions
-     equally) and contributes one registry/kernel ratio. The gate uses
-     the MEDIAN ratio — a slow co-tenant phase or major-GC slice skews
-     individual reps but moves paired ratios only when it lands between
-     the two halves of a pair, and the median discards those reps. The
-     interquartile range of the ratios states the noise. *)
-  let paired () =
-    let ratios = Array.make reps 0.0 in
-    let kernel_s = ref infinity and registry_s = ref infinity in
-    for i = 0 to reps - 1 do
-      let k, r =
-        if i land 1 = 0 then
-          let k = cpu_s kernel in
-          (k, cpu_s registry)
-        else
-          let r = cpu_s registry in
-          (cpu_s kernel, r)
-      in
-      kernel_s := Float.min !kernel_s k;
-      registry_s := Float.min !registry_s r;
-      ratios.(i) <- r /. Float.max k 1e-9
-    done;
-    Array.sort compare ratios;
-    (* Linear interpolation between closest ranks. *)
-    let quantile q =
-      let x = q *. float_of_int (reps - 1) in
-      let i = int_of_float x in
-      let j = min (i + 1) (reps - 1) in
-      ratios.(i) +. ((x -. float_of_int i) *. (ratios.(j) -. ratios.(i)))
-    in
-    (!kernel_s, !registry_s, quantile 0.5, quantile 0.75 -. quantile 0.25)
-  in
-  let baseline_s, disabled_s, disabled_ratio, disabled_iqr = paired () in
+  (* The first dozen solves in a process run 10-15% slower while the
+     heap sizes itself: the warm-ups put every retained rep in the
+     stable late-process position. *)
+  let disabled = Harness.paired ~clock:Harness.cpu ~warmups ~reps kernel registry in
   set_obs true;
-  let _, enabled_s, enabled_ratio, enabled_iqr = paired () in
+  let enabled = Harness.paired ~clock:Harness.cpu ~warmups:0 ~reps kernel registry in
   Crs_obs.Trace.reset ();
   ignore (registry ());
   let spans = List.length (Crs_obs.Trace.spans ()) in
   set_obs false;
   Crs_obs.Trace.reset ();
   Crs_obs.Metrics.reset ();
-  ( baseline_s,
-    (disabled_s, disabled_ratio -. 1.0, disabled_iqr),
-    (enabled_s, enabled_ratio -. 1.0, enabled_iqr),
-    spans )
+  (disabled, enabled, spans)
 
 let exp_obs ?(mode = `Run) () =
   banner "obs" "observability layer (span tracer + metrics registry)"
@@ -1875,51 +1733,39 @@ let exp_obs ?(mode = `Run) () =
        no signal — no file written, no gate judged. *)
     | `Smoke -> (80, 4, 1)
   in
-  let ( baseline_s,
-        (disabled_s, overhead, disabled_iqr),
-        (enabled_s, enabled_overhead, enabled_iqr),
-        spans ) =
-    obs_measure ~opt_two_n ~reps ~warmups
-  in
+  let disabled, enabled, spans = obs_measure ~opt_two_n ~reps ~warmups in
+  let overhead = disabled.Harness.ratio -. 1.0 in
+  let enabled_overhead = enabled.Harness.ratio -. 1.0 in
   let gate = 0.02 in
   let gate_met = overhead <= gate in
   Printf.printf
     "opt_two fig3 n=%d: kernel %.3fs, registry disabled %.3fs, enabled %.3fs \
      (%d spans/solve)\n"
-    opt_two_n baseline_s disabled_s enabled_s spans;
+    opt_two_n disabled.Harness.a_s disabled.Harness.b_s enabled.Harness.b_s spans;
+  Printf.printf
+    "disabled overhead vs direct kernel call: %+.2f%% (IQR of ratios %.2f \
+     points; gate <= %.0f%%: %s); enabled: %+.2f%% (IQR %.2f points)\n"
+    (overhead *. 100.) (disabled.Harness.ratio_iqr *. 100.) (gate *. 100.)
+    (if gate_met then "met" else "NOT MET")
+    (enabled_overhead *. 100.) (enabled.Harness.ratio_iqr *. 100.);
   match mode with
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
   | `Run ->
-    let cpu_model, nproc = host () in
-    let json =
-      Crs_util.Stable_json.(
-        obj
-          [
-            ("opt_two_n", int opt_two_n);
-            ("reps", int reps);
-            ("baseline_s", float baseline_s);
-            ("disabled_s", float disabled_s);
-            ("disabled_overhead", float overhead);
-            ("disabled_ratio_iqr", float disabled_iqr);
-            ("enabled_s", float enabled_s);
-            ("enabled_overhead", float enabled_overhead);
-            ("enabled_ratio_iqr", float enabled_iqr);
-            ("spans_per_solve", int spans);
-            ("gate", float gate);
-            ("gate_met", bool gate_met);
-            ("nproc", int nproc);
-            ("cpu_model", str cpu_model);
-          ])
-    in
-    Out_channel.with_open_text "BENCH_obs.json" (fun oc ->
-        Out_channel.output_string oc (json ^ "\n"));
-    Printf.printf
-      "disabled overhead vs direct kernel call: %+.2f%% (IQR of ratios %.2f \
-       points; gate <= %.0f%%: %s); enabled: %+.2f%% (IQR %.2f points)\n"
-      (overhead *. 100.) (disabled_iqr *. 100.) (gate *. 100.)
-      (if gate_met then "met" else "NOT MET")
-      (enabled_overhead *. 100.) (enabled_iqr *. 100.);
-    Printf.printf "wrote BENCH_obs.json\n";
+    Harness.write_json "BENCH_obs.json"
+      [
+        ("opt_two_n", J.int opt_two_n);
+        ("reps", J.int reps);
+        ("baseline_s", J.float disabled.Harness.a_s);
+        ("disabled_s", J.float disabled.Harness.b_s);
+        ("disabled_overhead", J.float overhead);
+        ("disabled_ratio_iqr", J.float disabled.Harness.ratio_iqr);
+        ("enabled_s", J.float enabled.Harness.b_s);
+        ("enabled_overhead", J.float enabled_overhead);
+        ("enabled_ratio_iqr", J.float enabled.Harness.ratio_iqr);
+        ("spans_per_solve", J.int spans);
+        ("gate", J.float gate);
+        ("gate_met", J.bool gate_met);
+      ];
     assert gate_met
 
 (* ---------- dp: flat-state DP kernels vs frozen boxed baselines ---------- *)
@@ -2005,54 +1851,19 @@ let exp_dp ?(mode = `Run) () =
     s_new.counters.Crs_kernels.Opt_two.relaxations
     c_new.stats.Crs_kernels.Opt_config.generated
     (List.length c_new.stats.Crs_kernels.Opt_config.layers);
-  (* Paired-reps methodology (same as BENCH_campaign/BENCH_obs): every
-     timed region starts from a settled GC, each rep times flat and
-     legacy back-to-back with the order alternating, and the gate uses
-     the MEDIAN of the per-rep ratios — machine-speed drift hits both
-     halves of a pair, and reps where a slow phase lands between the
-     halves are discarded by the median. *)
-  let time f =
-    Gc.full_major ();
-    let t0 = Unix.gettimeofday () in
-    ignore (Sys.opaque_identity (f ()));
-    Unix.gettimeofday () -. t0
-  in
-  let median a =
-    let s = Array.copy a in
-    Array.sort compare s;
-    let n = Array.length s in
-    if n land 1 = 1 then s.(n / 2) else (s.((n / 2) - 1) +. s.(n / 2)) /. 2.0
-  in
   let measure name flat legacy =
-    ignore (flat ());
-    ignore (legacy ());
-    let ratios = Array.make reps 0.0 in
-    let flat_best = ref infinity and legacy_best = ref infinity in
-    for i = 0 to reps - 1 do
-      let f_s, l_s =
-        if i land 1 = 0 then
-          let f = time flat in
-          (f, time legacy)
-        else
-          let l = time legacy in
-          (time flat, l)
-      in
-      if f_s < !flat_best then flat_best := f_s;
-      if l_s < !legacy_best then legacy_best := l_s;
-      ratios.(i) <- l_s /. Float.max f_s 1e-9
-    done;
-    let speedup = median ratios in
-    Printf.printf "%-36s flat %.3fs legacy %.3fs -> %.2fx (median of %d)\n" name
-      !flat_best !legacy_best speedup reps;
-    (!flat_best, !legacy_best, speedup)
+    let p = Harness.paired ~clock:Harness.wall ~reps flat legacy in
+    Printf.printf "%-36s flat %.3fs legacy %.3fs -> %.2fx (IQR %.2f, median of %d)\n"
+      name p.Harness.a_s p.Harness.b_s p.Harness.ratio p.Harness.ratio_iqr reps;
+    p
   in
-  let two_flat, two_legacy, two_speedup =
+  let two =
     measure
       (Printf.sprintf "opt_two fig3 n=%d (full solve)" two_n)
       (fun () -> Crs_kernels.Opt_two.solve fig3_two)
       (fun () -> L2.solve fig3_two)
   in
-  let cfg_flat, cfg_legacy, cfg_speedup =
+  let cfg =
     measure
       (Printf.sprintf "opt_config fig3 n=%d x%d (full solve)" cfg_n cfg_iters)
       (fun () ->
@@ -2083,51 +1894,59 @@ let exp_dp ?(mode = `Run) () =
   | `Smoke -> Printf.printf "smoke run: timings carry no signal, gate not judged\n"
   | `Run ->
     let gate = 2.0 in
-    let gate_met = two_speedup >= gate && cfg_speedup >= gate in
-    let cpu_model, nproc = host () in
-    let json =
-      Printf.sprintf
-        "{\"opt_two_n\":%d,\"opt_two_flat_s\":%.6f,\"opt_two_legacy_s\":%.6f,\
-         \"opt_two_speedup\":%.4f,\"opt_config_n\":%d,\"opt_config_iters\":%d,\
-         \"opt_config_flat_s\":%.6f,\"opt_config_legacy_s\":%.6f,\
-         \"opt_config_speedup\":%.4f,\"reps\":%d,\"cells_expanded\":%d,\
-         \"relaxations\":%d,\"generated\":%d,\"parity\":true,\"gate\":%.1f,\
-         \"gate_met\":%b,\"alloc_n\":%d,\"alloc_cells\":%d,\
-         \"alloc_major_words_per_solve\":%.0f,\"alloc_major_bound\":%.0f,\
-         \"alloc_minor_words_per_cell\":%.4f,\"alloc_minor_bound\":%.1f,\
-         \"alloc_gate_met\":%b,\"nproc\":%d,\"cpu_model\":%S}\n"
-        two_n two_flat two_legacy two_speedup cfg_n cfg_iters cfg_flat cfg_legacy
-        cfg_speedup reps s_new.counters.Crs_kernels.Opt_two.cells_expanded
-        s_new.counters.Crs_kernels.Opt_two.relaxations
-        c_new.stats.Crs_kernels.Opt_config.generated gate gate_met alloc_n
-        alloc_cells major_words major_bound minor_per_cell minor_bound alloc_met
-        nproc cpu_model
-    in
-    Out_channel.with_open_text "BENCH_dp.json" (fun oc ->
-        Out_channel.output_string oc json);
+    let gate_met = two.Harness.ratio >= gate && cfg.Harness.ratio >= gate in
     Printf.printf
       "speedup vs frozen boxed kernels: opt_two %.2fx, opt_config %.2fx (gate \
        >= %.1fx on BOTH: %s)\n"
-      two_speedup cfg_speedup gate
+      two.Harness.ratio cfg.Harness.ratio gate
       (if gate_met then "met" else "NOT MET");
-    Printf.printf "wrote BENCH_dp.json\n";
+    Harness.write_json "BENCH_dp.json"
+      [
+        ("opt_two_n", J.int two_n);
+        ("opt_two_flat_s", J.float two.Harness.a_s);
+        ("opt_two_legacy_s", J.float two.Harness.b_s);
+        ("opt_two_speedup", J.float two.Harness.ratio);
+        ("opt_two_speedup_iqr", J.float two.Harness.ratio_iqr);
+        ("opt_config_n", J.int cfg_n);
+        ("opt_config_iters", J.int cfg_iters);
+        ("opt_config_flat_s", J.float cfg.Harness.a_s);
+        ("opt_config_legacy_s", J.float cfg.Harness.b_s);
+        ("opt_config_speedup", J.float cfg.Harness.ratio);
+        ("opt_config_speedup_iqr", J.float cfg.Harness.ratio_iqr);
+        ("reps", J.int reps);
+        ("cells_expanded", J.int s_new.counters.Crs_kernels.Opt_two.cells_expanded);
+        ("relaxations", J.int s_new.counters.Crs_kernels.Opt_two.relaxations);
+        ("generated", J.int c_new.stats.Crs_kernels.Opt_config.generated);
+        ("parity", J.bool true);
+        ("gate", J.float gate);
+        ("gate_met", J.bool gate_met);
+        ("alloc_n", J.int alloc_n);
+        ("alloc_cells", J.int alloc_cells);
+        ("alloc_major_words_per_solve", J.float major_words);
+        ("alloc_major_bound", J.float major_bound);
+        ("alloc_minor_words_per_cell", J.float minor_per_cell);
+        ("alloc_minor_bound", J.float minor_bound);
+        ("alloc_gate_met", J.bool alloc_met);
+      ];
     assert gate_met;
     assert alloc_met
 
 (* ---------- smoke: tiny-n pass over every gated experiment ---------- *)
 
-(* `dune build @bench-smoke` runs this: exercises the num / obs / dp /
-   registry / serve experiment machinery end to end at sizes where each
-   takes well under a second, writes no files and judges no timing gates
-   (correctness asserts — differential checks, kernel parity, the serve
-   frontend's concurrent byte-identity over >= 2 live connections —
-   still run). Catches bit-rot in the bench harness itself without
-   paying for a full calibrated run. *)
+(* `dune runtest` runs this (alias @bench-smoke): every gated
+   experiment's machinery end to end at sizes where each takes well
+   under a second, writing no files and judging no timing gates.
+   Correctness asserts still run: differential checks, kernel parity,
+   campaign payload digests and trace signatures, certification, and
+   the serve frontend's concurrent byte-identity over >= 2 live
+   connections. *)
 let smoke () =
-  exp_num ~mode:`Check ();
+  exp_num ~mode:`Smoke ();
   exp_obs ~mode:`Smoke ();
   exp_dp ~mode:`Smoke ();
   exp_registry ~mode:`Smoke ();
+  exp_campaign ~mode:`Smoke ();
+  exp_fuzz ~mode:`Smoke ();
   exp_serve ~mode:`Smoke ()
 
 (* ---------- Bechamel micro-benchmarks ---------- *)
@@ -2196,9 +2015,9 @@ let experiments =
     ("t3", exp_t3); ("t5", exp_t5); ("t6", exp_t6); ("t7", exp_t7);
     ("l56", exp_l56); ("mc", exp_mc); ("ext", exp_ext); ("bp", exp_bp);
     ("dc", exp_dc); ("fa", exp_fa); ("mr", exp_mr); ("ablation", exp_ablation);
-    ("campaign", exp_campaign); ("registry", fun () -> exp_registry ());
+    ("campaign", fun () -> exp_campaign ()); ("registry", fun () -> exp_registry ());
     ("serve", fun () -> exp_serve ());
-    ("fuzz", exp_fuzz); ("num", fun () -> exp_num ());
+    ("fuzz", fun () -> exp_fuzz ()); ("num", fun () -> exp_num ());
     ("obs", fun () -> exp_obs ());
     ("dp", fun () -> exp_dp ());
   ]

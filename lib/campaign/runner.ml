@@ -118,22 +118,27 @@ let run_item spec (item : Spec.item) =
     wall_ns = now_ns () - t0;
   }
 
-let run ?(domains = 1) spec =
+let validated spec =
   match Spec.validate spec with
   | Stdlib.Error msg -> invalid_arg ("Runner.run: " ^ msg)
-  | Ok spec ->
-    let items = Spec.expand spec in
-    if domains <= 1 then Array.map (run_item spec) items
-    else begin
-      (* Submit chunked slices directly to the work-stealing executor.
-         Chunks only bound the submission overhead; load balancing
-         across uneven item costs comes from stealing, so a domain that
-         drew the cheap seeds takes slices from the one that drew the
-         brute-force-heavy ones. Results stay in item order because
-         each slice writes only its own report slots. *)
-      let chunk = Stdlib.max 1 (Array.length items / (domains * 8)) in
-      Crs_exec.Exec.map ~chunk ~domains (run_item spec) items
-    end
+  | Ok spec -> spec
+
+let run_on ex spec =
+  let spec = validated spec in
+  let items = Spec.expand spec in
+  (* Submit chunked slices directly to the work-stealing executor.
+     Chunks only bound the submission overhead; load balancing across
+     uneven item costs comes from stealing, so a domain that drew the
+     cheap seeds takes slices from the one that drew the
+     brute-force-heavy ones. Results stay in item order because each
+     slice writes only its own report slots. *)
+  let chunk = Stdlib.max 1 (Array.length items / (Crs_exec.Exec.size ex * 8)) in
+  Crs_exec.Exec.map_on ~chunk ex (run_item spec) items
+
+let run ?(domains = 1) spec =
+  let spec = validated spec in
+  if domains <= 1 then Array.map (run_item spec) (Spec.expand spec)
+  else Crs_exec.Exec.with_exec ~domains (fun ex -> run_on ex spec)
 
 let compare_records ?(names = default_names) ?(baseline = Spec.Exact) ?fuel
     ~family instance =

@@ -23,10 +23,16 @@ val run_item : Spec.t -> Spec.item -> Report.record
     record carries the solver's {!Crs_algorithms.Registry.Counters.t}
     when the solve completed. *)
 
+val run_on : Crs_exec.Exec.t -> Spec.t -> Report.record array
+(** Run the whole campaign on an existing executor; records are in item
+    order regardless of its size, and the executor stays up for the
+    next batch.
+    @raise Invalid_argument when {!Spec.validate} rejects the spec. *)
+
 val run : ?domains:int -> Spec.t -> Report.record array
-(** Run the whole campaign; records are in item order regardless of the
-    pool size. [domains <= 1] (default) runs sequentially in the calling
-    domain; larger values use {!Crs_exec.Exec.map}.
+(** Run the whole campaign. [domains <= 1] (default) runs sequentially
+    in the calling domain; larger values run {!run_on} on an executor of
+    that many domains created for this call and shut down after it.
     @raise Invalid_argument when {!Spec.validate} rejects the spec. *)
 
 val compare_records :

@@ -8,11 +8,9 @@
     — and mutex-protected; updates are lock-free ([Atomic]) and safe
     under the [Crs_exec] executor.
 
-    Histograms bucket observations by powers of two (bucket 0 holds
-    values [<= 0], bucket [k >= 1] holds [2^(k-1) <= v < 2^k]), which
-    gives useful shape for quantities spanning orders of magnitude —
-    DP states per instance, memo probes, shrink steps — at a fixed
-    64-slot footprint.
+    Histograms are {!Histogram.t}s (log2 buckets, fixed 64-slot
+    footprint) registered by name, whose {!observe} is gated on the
+    same flag.
 
     {!snapshot} serializes everything in the same stable-JSON style as
     campaign reports (sorted names, fixed key order, [%.6f] floats), so

@@ -2,6 +2,7 @@ module J = Crs_util.Stable_json
 module Registry = Crs_algorithms.Registry
 module Trace = Crs_obs.Trace
 module Metrics = Crs_obs.Metrics
+module Histogram = Crs_obs.Histogram
 
 type config = {
   workers : int;
@@ -21,62 +22,6 @@ let default_config =
     backlog = 128;
     conn = Frontend.default_settings;
   }
-
-(* Always-on per-request-kind latency histogram: log2 buckets over
-   microseconds, same bucketing convention as Crs_obs.Metrics (bucket 0
-   holds <= 0, bucket k >= 1 holds 2^(k-1) <= v < 2^k) but readable
-   without enabling the metrics subsystem — the crs-serve/1 stats
-   response must carry latency whether or not an operator turned
-   tracing on. Quantiles are bucket upper edges: coarse (a power of
-   two) but monotone, which is exactly what a p99 regression gate
-   needs. *)
-module Lat = struct
-  let buckets = 40 (* 2^39 us ~ 6.4 days: past any plausible request *)
-
-  type t = { counts : int Atomic.t array; max_us : int Atomic.t }
-
-  let create () =
-    {
-      counts = Array.init buckets (fun _ -> Atomic.make 0);
-      max_us = Atomic.make 0;
-    }
-
-  let bucket_of us =
-    if us <= 0 then 0
-    else
-      let rec bits k v = if v = 0 then k else bits (k + 1) (v lsr 1) in
-      min (buckets - 1) (bits 0 us)
-
-  let observe t us =
-    Atomic.incr t.counts.(bucket_of us);
-    let rec raise_max () =
-      let m = Atomic.get t.max_us in
-      if us > m && not (Atomic.compare_and_set t.max_us m us) then raise_max ()
-    in
-    raise_max ()
-
-  let count t = Array.fold_left (fun acc c -> acc + Atomic.get c) 0 t.counts
-  let max_us t = Atomic.get t.max_us
-
-  (* Upper edge of the bucket holding the q-quantile observation
-     (nearest rank), 0 on an empty histogram. *)
-  let quantile_upper_us t q =
-    let total = count t in
-    if total = 0 then 0
-    else begin
-      let rank = max 1 (int_of_float (ceil (q *. float_of_int total))) in
-      let edge = ref 0 and seen = ref 0 and k = ref 0 in
-      while !seen < rank && !k < buckets do
-        let c = Atomic.get t.counts.(!k) in
-        if c > 0 then begin
-          seen := !seen + c;
-          edge := (if !k = 0 then 0 else 1 lsl !k)
-        end;
-        incr k
-      done;
-      !edge
-    end
-end
 
 (* Request kinds the latency histograms are keyed by: solve and
    campaign are the work kinds, stats is its own (operators watch it),
@@ -134,7 +79,7 @@ type t = {
      still fully alive, which is when a warm-state snapshot is sound. *)
   mutable on_drain : (t -> unit) option;
   drain_hook_fired : bool Atomic.t;
-  lat : Lat.t array; (* indexed by lat_index, always on *)
+  lat : Histogram.t array; (* indexed by lat_index, always on *)
   m_requests : Metrics.counter;
   m_cache_hits : Metrics.counter;
   m_cache_misses : Metrics.counter;
@@ -171,7 +116,7 @@ let create config =
       };
     on_drain = None;
     drain_hook_fired = Atomic.make false;
-    lat = Array.init (Array.length lat_kinds) (fun _ -> Lat.create ());
+    lat = Array.init (Array.length lat_kinds) (fun _ -> Histogram.create ());
     m_requests = Metrics.counter "serve.requests";
     m_cache_hits = Metrics.counter "serve.cache_hits";
     m_cache_misses = Metrics.counter "serve.cache_misses";
@@ -229,10 +174,10 @@ let count t status =
 let lat_json h =
   J.obj
     [
-      ("count", J.int (Lat.count h));
-      ("p50_us", J.int (Lat.quantile_upper_us h 0.50));
-      ("p99_us", J.int (Lat.quantile_upper_us h 0.99));
-      ("max_us", J.int (Lat.max_us h));
+      ("count", J.int (Histogram.count h));
+      ("p50_us", J.int (Histogram.quantile_upper h 0.50));
+      ("p99_us", J.int (Histogram.quantile_upper h 0.99));
+      ("max_us", J.int (Histogram.max h));
     ]
 
 let stats_payload t =
@@ -455,7 +400,7 @@ let process_batch t lines =
       Int64.to_int (Int64.div (Int64.sub (Trace.monotonic_ns ()) t0) 1000L)
     in
     let ki = lat_index req_kind in
-    Lat.observe t.lat.(ki) dt_us;
+    Histogram.observe t.lat.(ki) dt_us;
     Metrics.observe t.m_lat.(ki) dt_us;
     response
   in

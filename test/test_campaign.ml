@@ -148,7 +148,15 @@ let test_determinism_across_domains () =
         (C.Report.payload r) (C.Report.payload par.(i)))
     seq;
   Alcotest.(check string) "payload digests equal" (C.Report.payload_digest seq)
-    (C.Report.payload_digest par)
+    (C.Report.payload_digest par);
+  (* A persistent executor serves back-to-back campaigns identically. *)
+  Crs_exec.Exec.with_exec ~domains:2 (fun ex ->
+      for round = 1 to 2 do
+        Alcotest.(check string)
+          (Printf.sprintf "run_on round %d digest" round)
+          (C.Report.payload_digest seq)
+          (C.Report.payload_digest (C.Runner.run_on ex sp))
+      done)
 
 let test_determinism_under_stealing () =
   (* The executor contract at every pool size the steal paths can

@@ -27,4 +27,5 @@ let () =
       ("exhaustive", Test_exhaustive.suite);
       ("stress", Test_stress.suite);
       ("cli", Test_cli.suite);
+      ("harness", Test_harness.suite);
     ]

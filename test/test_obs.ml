@@ -167,6 +167,28 @@ let test_metrics_counters_gauges () =
       Alcotest.(check bool) "registration is idempotent" true
         (Metrics.counter_value (Metrics.counter "test.c") = 5))
 
+(* The always-on histogram behind Metrics and the serve latency stats:
+   exact count/sum/max, and quantiles read as bucket upper edges. *)
+let test_histogram_quantiles () =
+  let module H = Crs_obs.Histogram in
+  let h = H.create () in
+  Alcotest.(check (list int)) "empty: count, max, p99" [ 0; 0; 0 ]
+    [ H.count h; H.max h; H.quantile_upper h 0.99 ];
+  List.iter (H.observe h) [ 0; 1; 2; 3; 100 ];
+  Alcotest.(check (list int)) "count, sum, max" [ 5; 106; 100 ]
+    [ H.count h; H.sum h; H.max h ];
+  (* Ranks: p20 -> the 0 sample (edge 0), p50 -> 2 (bucket [2,4), edge
+     4), p99 -> 100 (bucket [64,128), edge 128). *)
+  Alcotest.(check (list int)) "upper-edge quantiles" [ 0; 4; 128 ]
+    (List.map (H.quantile_upper h) [ 0.2; 0.5; 0.99 ]);
+  Alcotest.(check (list (pair int int))) "buckets"
+    [ (0, 1); (1, 1); (2, 2); (64, 1) ]
+    (H.buckets h);
+  H.observe h max_int;
+  Alcotest.(check int) "top bucket edge saturates" max_int (H.quantile_upper h 1.0);
+  H.reset h;
+  Alcotest.(check (list int)) "reset" [ 0; 0; 0 ] [ H.count h; H.sum h; H.max h ]
+
 let test_metrics_histogram_snapshot () =
   metered (fun () ->
       let h = Metrics.histogram "test.h" in
@@ -377,4 +399,6 @@ let suite =
     Alcotest.test_case "registry.solve is the only span of a solve" `Quick
       test_registry_span_contract;
     Alcotest.test_case "fuzz case spans" `Quick test_fuzz_spans;
+    Alcotest.test_case "histogram quantiles and max" `Quick
+      test_histogram_quantiles;
   ]
