@@ -6,14 +6,13 @@
    DESIGN.md section 5 for the index and EXPERIMENTS.md for recorded
    results). Run `dune exec bench/main.exe` for all experiments, pass an
    experiment id (f1 f2 f3 f4 f5 t3 t5 t6 t7 l56 mc ext bp dc fa mr
-   ablation campaign registry serve fuzz num obs dp) to run one, `micro`
-   for the Bechamel runtime micro-benchmarks, or `smoke` for a tiny-n
-   pass over the gated experiments that judges no timing gates — `dune
-   runtest` runs it. `num` also accepts `--check` (fast differential
-   sample only) and `--record-baseline` (write data/num_baseline.json
-   for the speedup gate). Every gated experiment times through
-   Harness.paired / Harness.time_min and writes its BENCH_<id>.json
-   through Harness.write_json (bench/harness). *)
+   ablation campaign registry serve fuzz num obs dp) to run one, or
+   `smoke` for a tiny-n pass over the gated experiments that judges no
+   timing gates — `dune runtest` runs it. `num` also accepts `--check`
+   (fast differential sample only) and `--record-baseline` (write
+   data/num_baseline.json for the speedup gate). Every gated experiment
+   times through Harness.paired / Harness.time_min and writes its
+   BENCH_<id>.json through Harness.write_json (bench/harness). *)
 
 module Q = Crs_num.Rational
 open Crs_core
@@ -1063,12 +1062,9 @@ let exp_serve ?(mode = `Run) () =
   in
   let socket_dir = fresh_dir "shards" in
   let warm_dir = fresh_dir "warm" in
-  let shard_argv ~index ~socket =
-    [|
-      crsched_exe; "serve"; "--listen"; "unix:" ^ socket; "--workers"; "1";
-      "--queue"; "128"; "--cache"; "128"; "--warm-state"; warm_dir;
-      "--warm-id"; Printf.sprintf "shard-%d" index;
-    |]
+  let shard_argv =
+    B.serve_argv ~warm_state:warm_dir ~exe:crsched_exe
+      { S.default_config with workers = 1; queue = 128; cache_capacity = 128 }
   in
   let tier_cfg =
     let d = B.default_config ~shards:shards3 ~socket_dir ~shard_argv in
@@ -1949,66 +1945,6 @@ let smoke () =
   exp_fuzz ~mode:`Smoke ();
   exp_serve ~mode:`Smoke ()
 
-(* ---------- Bechamel micro-benchmarks ---------- *)
-
-let micro () =
-  let open Bechamel in
-  let st = Random.State.make [| 4242 |] in
-  let two n = Helpers_bench.random_two_proc ~n st 0 in
-  let inst50 = two 50 and inst200 = two 200 in
-  let st2 = Random.State.make [| 4243 |] in
-  let inst_m3 = Crs_generators.Random_gen.equal_rows ~m:3 ~n:3 ~granularity:10 st2 in
-  let big_family = A.greedy_balance_family ~m:4 ~blocks:25 () in
-  let rr_family = A.round_robin_family ~n:200 in
-  let tests =
-    [
-      (* T5: the O(n^2) DP and its PQ variant. *)
-      Test.make ~name:"opt_two n=50" (Staged.stage (fun () ->
-          ignore (Crs_kernels.Opt_two.makespan inst50)));
-      Test.make ~name:"opt_two n=200" (Staged.stage (fun () ->
-          ignore (Crs_kernels.Opt_two.makespan inst200)));
-      Test.make ~name:"opt_two_pq n=200" (Staged.stage (fun () ->
-          ignore (Crs_kernels.Opt_two_pq.makespan inst200)));
-      (* T6: configuration enumeration at fixed m. *)
-      Test.make ~name:"opt_config m=3 n=3" (Staged.stage (fun () ->
-          ignore (Crs_kernels.Opt_config.makespan inst_m3)));
-      (* T7/T8: the linear-time approximation on a large family instance. *)
-      Test.make ~name:"greedy_balance m=4 100 jobs/proc" (Staged.stage (fun () ->
-          ignore (Crs_kernels.Greedy_balance.makespan big_family)));
-      (* T3: round robin on the Figure 3 family. *)
-      Test.make ~name:"round_robin n=200" (Staged.stage (fun () ->
-          ignore (Crs_kernels.Round_robin.makespan rr_family)));
-      (* Substrate: exact arithmetic throughput (harmonic sums grow the
-         denominators into genuine multi-limb territory). *)
-      Test.make ~name:"rational sum 1/1..1/500" (Staged.stage (fun () ->
-          ignore (Q.sum (List.init 500 (fun i -> Q.of_ints 1 (i + 1))))));
-      (* S8: simulator tick loop. *)
-      Test.make ~name:"manycore mixed-vm 9 cores" (Staged.stage (fun () ->
-          let stw = Random.State.make [| 7 |] in
-          let tasks = Crs_manycore.Workload.mixed_vm ~cores:9 stw in
-          ignore (Crs_manycore.Engine.run Crs_manycore.Policy.greedy_balance tasks)));
-    ]
-  in
-  let benchmark test =
-    let analyze = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 0.4) ~kde:(Some 100) () in
-    let raw = Benchmark.all cfg instances test in
-    Analyze.all analyze Toolkit.Instance.monotonic_clock raw
-  in
-  Printf.printf "\n=== MICRO: runtime micro-benchmarks (bechamel) ===\n\n";
-  List.iter
-    (fun test ->
-      let results = benchmark (Test.make_grouped ~name:"g" [ test ]) in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some [ est ] ->
-            Printf.printf "%-36s %12.1f ns/run\n" name est
-          | _ -> Printf.printf "%-36s (no estimate)\n" name)
-        results)
-    tests
-
 let experiments =
   [
     ("f1", exp_f1); ("f2", exp_f2); ("f3", exp_f3); ("f4", exp_f4); ("f5", exp_f5);
@@ -2024,7 +1960,6 @@ let experiments =
 
 let () =
   match Array.to_list Sys.argv with
-  | _ :: "micro" :: _ -> micro ()
   | _ :: "smoke" :: _ -> smoke ()
   | _ :: "num" :: rest ->
     let mode =
@@ -2040,9 +1975,7 @@ let () =
     match List.assoc_opt id experiments with
     | Some f -> f ()
     | None ->
-      Printf.eprintf "unknown experiment %s; available: %s micro\n" id
+      Printf.eprintf "unknown experiment %s; available: %s\n" id
         (String.concat " " (List.map fst experiments));
       exit 1)
-  | _ ->
-    List.iter (fun (_, f) -> f ()) experiments;
-    micro ()
+  | _ -> List.iter (fun (_, f) -> f ()) experiments

@@ -1063,6 +1063,66 @@ let trace_cmd =
 let exit_bad_listen = 3
 let exit_bind_failed = 4
 
+let bind_listener ~backlog listen =
+  let module Server = Crs_serve.Server in
+  match Server.parse_address listen with
+  | Error msg ->
+    Printf.eprintf "error: %s\n" msg;
+    exit exit_bad_listen
+  | Ok addr -> (
+    match Server.bind_address ~backlog addr with
+    | Error msg ->
+      Printf.eprintf "error: %s\n" msg;
+      exit exit_bind_failed
+    | Ok fd -> (addr, fd))
+
+(* --workers/--queue/--cache/--fuel as the pool fields of a
+   Server.config: serve runs with them, balance passes them to every
+   shard. A fuel of 0 means unlimited ([default_fuel = None]). *)
+let pool_term ~per_shard =
+  let d = Crs_serve.Server.default_config in
+  let scope = if per_shard then " per shard" else "" in
+  let workers =
+    Arg.(
+      value & opt int d.workers
+      & info [ "workers" ] ~docv:"N"
+          ~doc:("Worker domains for batch work" ^ scope ^ "."))
+  in
+  let queue =
+    Arg.(
+      value & opt int d.queue
+      & info [ "queue" ] ~docv:"N"
+          ~doc:
+            ("Admission bound" ^ scope
+           ^ ": work requests beyond $(docv) per batch are answered with \
+              status $(b,overloaded)."))
+  in
+  let cache =
+    Arg.(
+      value & opt int d.cache_capacity
+      & info [ "cache" ] ~docv:"N"
+          ~doc:("Memo-cache capacity in entries" ^ scope ^ "; 0 disables caching."))
+  in
+  let fuel =
+    Arg.(
+      value
+      & opt int (Option.value d.default_fuel ~default:0)
+      & info [ "fuel" ] ~docv:"TICKS"
+          ~doc:
+            ("Default per-request fuel deadline" ^ scope
+           ^ " for requests that do not set one; 0 means unlimited."))
+  in
+  let pool workers queue cache fuel =
+    {
+      d with
+      Crs_serve.Server.workers;
+      queue;
+      cache_capacity = cache;
+      default_fuel = (if fuel = 0 then None else Some fuel);
+    }
+  in
+  Term.(const pool $ workers $ queue $ cache $ fuel)
+
 let serve_cmd =
   let module Server = Crs_serve.Server in
   let d = Server.default_config in
@@ -1080,34 +1140,6 @@ let serve_cmd =
           ~doc:
             "Serve a single session on stdin/stdout instead of a socket \
              (useful for pipelines and tests); --listen is ignored.")
-  in
-  let workers =
-    Arg.(
-      value & opt int d.workers
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains for batch work.")
-  in
-  let queue =
-    Arg.(
-      value & opt int d.queue
-      & info [ "queue" ] ~docv:"N"
-          ~doc:
-            "Admission bound: work requests beyond $(docv) per batch are \
-             answered with status $(b,overloaded).")
-  in
-  let cache =
-    Arg.(
-      value & opt int d.cache_capacity
-      & info [ "cache" ] ~docv:"N"
-          ~doc:"Memo-cache capacity in entries; 0 disables caching.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt int (Option.value d.default_fuel ~default:0)
-      & info [ "fuel" ] ~docv:"TICKS"
-          ~doc:
-            "Default per-request fuel deadline for requests that do not set \
-             one; 0 means unlimited.")
   in
   let max_conns =
     Arg.(
@@ -1156,25 +1188,24 @@ let serve_cmd =
             "Snapshot name under $(b,--warm-state) — give each member of \
              a sharded tier its own (the balancer passes shard-$(i,N)).")
   in
-  let run listen stdio workers queue cache fuel max_conns backlog idle_timeout
+  let run listen stdio (pool : Server.config) max_conns backlog idle_timeout
       warm_state warm_id =
+    let fuel = Option.value pool.default_fuel ~default:0 in
     if
-      workers < 1 || queue < 1 || cache < 0 || fuel < 0 || max_conns < 1
-      || backlog < 1 || idle_timeout < 0.0
+      pool.workers < 1 || pool.queue < 1 || pool.cache_capacity < 0 || fuel < 0
+      || max_conns < 1 || backlog < 1 || idle_timeout < 0.0
     then begin
       Printf.eprintf
         "error: invalid serve parameters (workers %d, queue %d, cache %d, \
          fuel %d, max-conns %d, backlog %d, idle-timeout %g)\n"
-        workers queue cache fuel max_conns backlog idle_timeout;
+        pool.workers pool.queue pool.cache_capacity fuel max_conns backlog
+        idle_timeout;
       exit 1
     end;
     let config =
       {
-        Server.workers;
-        queue;
-        cache_capacity = cache;
-        default_fuel = (if fuel = 0 then None else Some fuel);
-        backlog;
+        pool with
+        Server.backlog;
         conn =
           {
             d.conn with
@@ -1215,26 +1246,18 @@ let serve_cmd =
       Server.serve_io server ~input:Unix.stdin ~output:Unix.stdout;
       Server.drain server
     end
-    else
-      match Server.parse_address listen with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit exit_bad_listen
-      | Ok addr -> (
-        match Server.bind_address ~backlog addr with
-        | Error msg ->
-          Printf.eprintf "error: %s\n" msg;
-          exit exit_bind_failed
-        | Ok fd ->
-          let server = Server.create config in
-          wire_warm server;
-          Printf.eprintf "crsched serve: listening on %s\n%!"
-            (Server.address_to_string addr);
-          Fun.protect
-            ~finally:(fun () ->
-              Server.close_address addr fd;
-              Server.drain server)
-            (fun () -> Server.serve server fd))
+    else begin
+      let addr, fd = bind_listener ~backlog listen in
+      let server = Server.create config in
+      wire_warm server;
+      Printf.eprintf "crsched serve: listening on %s\n%!"
+        (Server.address_to_string addr);
+      Fun.protect
+        ~finally:(fun () ->
+          Server.close_address addr fd;
+          Server.drain server)
+        (fun () -> Server.serve server fd)
+    end
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1257,10 +1280,10 @@ let serve_cmd =
            `P
              "Example: echo \
               '{\"proto\":\"crs-serve/1\",\"kind\":\"solve\",\"instance\":\"1/2 \
-              1/3\\n1/4\"}' | crsched serve --stdio";
+              1/3\\\\n1/4\"}' | crsched serve --stdio";
          ])
     Term.(
-      const run $ listen $ stdio $ workers $ queue $ cache $ fuel $ max_conns
+      const run $ listen $ stdio $ pool_term ~per_shard:false $ max_conns
       $ backlog $ idle_timeout $ warm_state $ warm_id)
 
 (* ---- balance ---- *)
@@ -1304,29 +1327,6 @@ let balance_cmd =
              $(docv)/shard-$(i,N).crs-warm.jsonl on drain and replays it on \
              startup. Empty disables warming.")
   in
-  let workers =
-    Arg.(
-      value & opt int sd.workers
-      & info [ "workers" ] ~docv:"N" ~doc:"Worker domains per shard.")
-  in
-  let queue =
-    Arg.(
-      value & opt int sd.queue
-      & info [ "queue" ] ~docv:"N" ~doc:"Admission bound per shard.")
-  in
-  let cache =
-    Arg.(
-      value & opt int sd.cache_capacity
-      & info [ "cache" ] ~docv:"N"
-          ~doc:"Memo-cache capacity per shard; 0 disables caching.")
-  in
-  let fuel =
-    Arg.(
-      value
-      & opt int (Option.value sd.default_fuel ~default:0)
-      & info [ "fuel" ] ~docv:"TICKS"
-          ~doc:"Default per-request fuel deadline per shard; 0 = unlimited.")
-  in
   let max_conns =
     Arg.(
       value & opt int sd.conn.max_conns
@@ -1357,41 +1357,25 @@ let balance_cmd =
              consecutive failure (capped at 2s), resets when a respawn \
              comes up healthy.")
   in
-  let run listen shards socket_dir warm_state workers queue cache fuel
-      max_conns backlog health_interval restart_backoff =
+  let run listen shards socket_dir warm_state (pool : Server.config) max_conns
+      backlog health_interval restart_backoff =
+    let fuel = Option.value pool.default_fuel ~default:0 in
     if
-      shards < 1 || workers < 1 || queue < 1 || cache < 0 || fuel < 0
-      || max_conns < 1 || backlog < 1 || health_interval <= 0.0
-      || restart_backoff <= 0.0
+      shards < 1 || pool.workers < 1 || pool.queue < 1
+      || pool.cache_capacity < 0 || fuel < 0 || max_conns < 1 || backlog < 1
+      || health_interval <= 0.0 || restart_backoff <= 0.0
     then begin
       Printf.eprintf
         "error: invalid balance parameters (shards %d, workers %d, queue %d, \
          cache %d, fuel %d, max-conns %d, backlog %d, health-interval %g, \
          restart-backoff %g)\n"
-        shards workers queue cache fuel max_conns backlog health_interval
-        restart_backoff;
+        shards pool.workers pool.queue pool.cache_capacity fuel max_conns
+        backlog health_interval restart_backoff;
       exit 1
     end;
-    let shard_argv ~index ~socket =
-      let base =
-        [
-          Sys.executable_name; "serve";
-          "--listen"; "unix:" ^ socket;
-          "--workers"; string_of_int workers;
-          "--queue"; string_of_int queue;
-          "--cache"; string_of_int cache;
-          "--fuel"; string_of_int fuel;
-        ]
-      in
-      let warm =
-        if warm_state = "" then []
-        else
-          [
-            "--warm-state"; warm_state;
-            "--warm-id"; Printf.sprintf "shard-%d" index;
-          ]
-      in
-      Array.of_list (base @ warm)
+    let shard_argv =
+      let warm_state = if warm_state = "" then None else Some warm_state in
+      Balancer.serve_argv ?warm_state ~exe:Sys.executable_name pool
     in
     let cfg =
       let d = Balancer.default_config ~shards ~socket_dir ~shard_argv in
@@ -1402,31 +1386,21 @@ let balance_cmd =
         conn = { d.conn with Crs_serve.Frontend.max_conns };
       }
     in
-    match Server.parse_address listen with
+    let addr, fd = bind_listener ~backlog listen in
+    match Balancer.create cfg with
     | Error msg ->
+      Server.close_address addr fd;
       Printf.eprintf "error: %s\n" msg;
-      exit exit_bad_listen
-    | Ok addr -> (
-      match Server.bind_address ~backlog addr with
-      | Error msg ->
-        Printf.eprintf "error: %s\n" msg;
-        exit exit_bind_failed
-      | Ok fd -> (
-        match Balancer.create cfg with
-        | Error msg ->
+      exit exit_shards_failed
+    | Ok balancer ->
+      Printf.eprintf "crsched balance: listening on %s (%d shards in %s)\n%!"
+        (Server.address_to_string addr)
+        shards socket_dir;
+      Fun.protect
+        ~finally:(fun () ->
           Server.close_address addr fd;
-          Printf.eprintf "error: %s\n" msg;
-          exit exit_shards_failed
-        | Ok balancer ->
-          Printf.eprintf
-            "crsched balance: listening on %s (%d shards in %s)\n%!"
-            (Server.address_to_string addr)
-            shards socket_dir;
-          Fun.protect
-            ~finally:(fun () ->
-              Server.close_address addr fd;
-              Balancer.drain balancer)
-            (fun () -> Balancer.serve balancer fd)))
+          Balancer.drain balancer)
+        (fun () -> Balancer.serve balancer fd)
   in
   Cmd.v
     (Cmd.info "balance"
@@ -1453,8 +1427,9 @@ let balance_cmd =
               shard processes failed to come up.";
          ])
     Term.(
-      const run $ listen $ shards $ socket_dir $ warm_state $ workers $ queue
-      $ cache $ fuel $ max_conns $ backlog $ health_interval $ restart_backoff)
+      const run $ listen $ shards $ socket_dir $ warm_state
+      $ pool_term ~per_shard:true $ max_conns $ backlog $ health_interval
+      $ restart_backoff)
 
 let main =
   let doc = "Scheduling shared continuous resources on many-cores (SPAA 2014 reproduction)." in

@@ -13,8 +13,6 @@ let default_names =
       | _ -> true)
     Registry.names
 
-let algorithm_names = Registry.names
-
 let now_ns () = int_of_float (Unix.gettimeofday () *. 1e9)
 
 type 'a metered =

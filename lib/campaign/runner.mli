@@ -11,9 +11,6 @@ val default_names : string list
 (** Default set for comparison tables: every policy-backed algorithm
     plus ["optimal"], in registry order. *)
 
-val algorithm_names : string list
-(** All registered names ([= Crs_algorithms.Registry.names]). *)
-
 val run_item : Spec.t -> Spec.item -> Report.record
 (** Evaluate one item: regenerate the instance from its seed, check the
     solver's capability record (a rejected instance records

@@ -471,7 +471,3 @@ let solve instance =
     if rows = [] then Schedule.empty ~m:2 else Schedule.of_rows (Array.of_list rows)
   in
   { makespan = final_tv asr 3; schedule; counters }
-
-let table_dims instance =
-  check instance;
-  (Instance.n_i instance 0 + 1, Instance.n_i instance 1 + 1)

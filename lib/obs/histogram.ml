@@ -38,7 +38,8 @@ let quantile_upper t q =
     if k >= slots then 0
     else
       let seen = seen + Atomic.get t.counts.(k) in
-      if seen >= rank then upper_edge k else walk (k + 1) seen
+      if seen >= rank then Stdlib.min (upper_edge k) (max t)
+      else walk (k + 1) seen
   in
   if total = 0 then 0 else walk 0 0
 

@@ -23,8 +23,10 @@ val max : t -> int
 
 val quantile_upper : t -> float -> int
 (** Upper edge [2^k] of the bucket holding the nearest-rank
-    [q]-quantile sample; 0 on an empty histogram. Coarse (a power of
-    two) but monotone, which is what a regression gate needs. *)
+    [q]-quantile sample, clamped to {!max} so no quantile exceeds the
+    largest sample; 0 on an empty histogram. Coarse (a power of two
+    below the max) but monotone, which is what a regression gate
+    needs. *)
 
 val buckets : t -> (int * int) list
 (** Non-empty buckets as (lower edge, count), in increasing order. *)

@@ -56,6 +56,25 @@ let default_config ~shards ~socket_dir ~shard_argv =
     conn = Frontend.default_settings;
   }
 
+(* The one place that spells a shard's command line. *)
+let serve_argv ?warm_state ~exe (c : Server.config) ~index ~socket =
+  let warm =
+    match warm_state with
+    | None -> []
+    | Some dir ->
+      [ "--warm-state"; dir; "--warm-id"; Printf.sprintf "shard-%d" index ]
+  in
+  Array.of_list
+    ([
+       exe; "serve";
+       "--listen"; "unix:" ^ socket;
+       "--workers"; string_of_int c.workers;
+       "--queue"; string_of_int c.queue;
+       "--cache"; string_of_int c.cache_capacity;
+       "--fuel"; string_of_int (Option.value c.default_fuel ~default:0);
+     ]
+    @ warm)
+
 (* ---- routing ---- *)
 
 (* Rendezvous (highest-random-weight) hashing: every shard scores

@@ -57,6 +57,20 @@ val default_config :
     Fixed, not configurable: a (re)spawned shard gets 10 s to accept,
     and every shard response (forwarding, pings, the drain) 30 s. *)
 
+val serve_argv :
+  ?warm_state:string ->
+  exe:string ->
+  Server.config ->
+  index:int ->
+  socket:string ->
+  string array
+(** [serve_argv ~exe c] is a [shard_argv]: [exe serve --listen
+    unix:SOCKET --workers --queue --cache --fuel] from [c]'s pool
+    fields ([default_fuel = None] passes [--fuel 0], unlimited). With
+    [warm_state], each shard also gets [--warm-state DIR --warm-id
+    shard-N]. The other fields of [c] are not passed: shards keep the
+    serve defaults for them. *)
+
 val shard_socket : socket_dir:string -> int -> string
 (** [socket_dir/shard-<i>.sock] — the path [shard_argv] receives. *)
 

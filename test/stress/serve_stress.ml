@@ -171,9 +171,7 @@ let () =
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "crs-stress-shards-%d" (Unix.getpid ()))
   in
-  let shard_argv ~index:_ ~socket =
-    [| exe; "serve"; "--listen"; "unix:" ^ socket; "--workers"; "1" |]
-  in
+  let shard_argv = B.serve_argv ~exe { S.default_config with workers = 1 } in
   let cfg = B.default_config ~shards:2 ~socket_dir ~shard_argv in
   match B.create cfg with
   | Error msg -> failwith ("serve stress: " ^ msg)

@@ -209,27 +209,18 @@ let temp_dir =
     Unix.mkdir dir 0o700;
     dir
 
-let tier_config ?(warm_state = "") ~socket_dir ~shards () =
-  let shard_argv ~index ~socket =
-    let base =
-      [
-        exe; "serve";
-        "--listen"; "unix:" ^ socket;
-        "--workers"; "1";
-        "--queue"; "16";
-        "--cache"; "64";
-      ]
-    in
-    let warm =
-      if warm_state = "" then []
-      else
-        [
-          "--warm-state"; warm_state;
-          "--warm-id"; Printf.sprintf "shard-%d" index;
-        ]
-    in
-    Array.of_list (base @ warm)
-  in
+(* The shard settings the tier tests run with: small, and unlike the
+   serve defaults, so a dropped flag shows. *)
+let shard_pool =
+  {
+    Crs_serve.Server.default_config with
+    workers = 1;
+    queue = 16;
+    cache_capacity = 64;
+  }
+
+let tier_config ?warm_state ~socket_dir ~shards () =
+  let shard_argv = Balancer.serve_argv ?warm_state ~exe shard_pool in
   let d = Balancer.default_config ~shards ~socket_dir ~shard_argv in
   {
     d with
@@ -312,6 +303,99 @@ let check_accounting t =
     (balancer_stat t [ "balancer"; "accepted" ])
     (balancer_stat t [ "balancer"; "answered" ]
     + balancer_stat t [ "balancer"; "refused" ])
+
+let test_serve_argv () =
+  let d = Crs_serve.Server.default_config in
+  Alcotest.(check (array string)) "cold shard"
+    [|
+      "crsched"; "serve"; "--listen"; "unix:/s/shard-1.sock"; "--workers"; "1";
+      "--queue"; "16"; "--cache"; "64";
+      "--fuel"; string_of_int (Option.get d.default_fuel);
+    |]
+    (Balancer.serve_argv ~exe:"crsched" shard_pool ~index:1
+       ~socket:"/s/shard-1.sock");
+  (* The warm argv is checked against the real CLI: run it with --stdio
+     and one solve; on drain the shard snapshots under its shard-N name. *)
+  let warm_state = temp_dir () in
+  let argv =
+    Balancer.serve_argv ~warm_state ~exe
+      { shard_pool with default_fuel = None }
+      ~index:2 ~socket:"unused.sock"
+  in
+  let rec after flag i =
+    if argv.(i) = flag then argv.(i + 1) else after flag (i + 1)
+  in
+  Alcotest.(check string) "no default fuel passes --fuel 0" "0"
+    (after "--fuel" 0);
+  let ((ic, oc) as proc) =
+    Unix.open_process_args exe (Array.append argv [| "--stdio" |])
+  in
+  output_string oc (solve_line (random_instance 1) ^ "\n");
+  close_out oc;
+  let reply = In_channel.input_all ic in
+  Alcotest.(check bool) "warm shard exits 0" true
+    (Unix.close_process proc = Unix.WEXITED 0);
+  Alcotest.(check string) "warm shard answers" "ok" (response_status reply);
+  let snapshot = Filename.concat warm_state "shard-2.crs-warm.jsonl" in
+  Alcotest.(check bool) "snapshot named after the shard" true
+    (Sys.file_exists snapshot);
+  Sys.remove snapshot;
+  Unix.rmdir warm_state
+
+(* Each shard reports, on its own private socket, the pool settings the
+   tier was configured with. *)
+let test_tier_shard_settings () =
+  let socket_dir = temp_dir () in
+  let shards = 2 in
+  let pool =
+    {
+      Crs_serve.Server.default_config with
+      workers = 3;
+      queue = 7;
+      cache_capacity = 5;
+    }
+  in
+  let cfg =
+    {
+      (tier_config ~socket_dir ~shards ()) with
+      Balancer.shard_argv = Balancer.serve_argv ~exe pool;
+    }
+  in
+  with_tier cfg (fun _ ->
+      for index = 0 to shards - 1 do
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Fun.protect
+          ~finally:(fun () -> Unix.close fd)
+          (fun () ->
+            Unix.connect fd
+              (Unix.ADDR_UNIX (Balancer.shard_socket ~socket_dir index));
+            let stats =
+              Loadgen.Client.rpc (Loadgen.Client.of_fd fd)
+                (J.obj
+                   [ ("proto", J.str Protocol.version); ("kind", J.str "stats") ])
+            in
+            let field path =
+              match J.parse stats with
+              | Ok json -> (
+                match
+                  List.fold_left
+                    (fun j k -> Option.bind j (J.member k))
+                    (Some json) path
+                with
+                | Some (J.Int v) -> v
+                | _ ->
+                  Alcotest.failf "shard stats lack %s" (String.concat "." path))
+              | Error msg -> Alcotest.failf "unparseable shard stats: %s" msg
+            in
+            let check name path expected =
+              Alcotest.(check int)
+                (Printf.sprintf "shard %d %s" index name)
+                expected (field path)
+            in
+            check "workers" [ "workers" ] pool.workers;
+            check "queue" [ "queue" ] pool.queue;
+            check "cache capacity" [ "cache"; "capacity" ] pool.cache_capacity)
+      done)
 
 let test_tier_byte_identity () =
   let cfg = tier_config ~socket_dir:(temp_dir ()) ~shards:2 () in
@@ -462,6 +546,10 @@ let suite =
       test_protocol_doc_inventory;
     Alcotest.test_case "docs: OPERATIONS.md flag defaults match the code" `Quick
       test_operations_doc_defaults;
+    Alcotest.test_case "serve_argv: cold argv, warm argv runs under serve" `Quick
+      test_serve_argv;
+    Alcotest.test_case "tier: shard settings reach the shards" `Quick
+      test_tier_shard_settings;
     Alcotest.test_case "tier: byte-identity through the balancer" `Quick
       test_tier_byte_identity;
     Alcotest.test_case "tier: kill -9 a shard, exact accounting" `Quick

@@ -168,7 +168,8 @@ let test_metrics_counters_gauges () =
         (Metrics.counter_value (Metrics.counter "test.c") = 5))
 
 (* The always-on histogram behind Metrics and the serve latency stats:
-   exact count/sum/max, and quantiles read as bucket upper edges. *)
+   exact count/sum/max, and quantiles read as bucket upper edges
+   clamped to the max. *)
 let test_histogram_quantiles () =
   let module H = Crs_obs.Histogram in
   let h = H.create () in
@@ -178,8 +179,9 @@ let test_histogram_quantiles () =
   Alcotest.(check (list int)) "count, sum, max" [ 5; 106; 100 ]
     [ H.count h; H.sum h; H.max h ];
   (* Ranks: p20 -> the 0 sample (edge 0), p50 -> 2 (bucket [2,4), edge
-     4), p99 -> 100 (bucket [64,128), edge 128). *)
-  Alcotest.(check (list int)) "upper-edge quantiles" [ 0; 4; 128 ]
+     4), p99 -> 100 (bucket [64,128), edge 128, clamped to the max
+     100). *)
+  Alcotest.(check (list int)) "upper-edge quantiles" [ 0; 4; 100 ]
     (List.map (H.quantile_upper h) [ 0.2; 0.5; 0.99 ]);
   Alcotest.(check (list (pair int int))) "buckets"
     [ (0, 1); (1, 1); (2, 2); (64, 1) ]
